@@ -25,10 +25,11 @@ from .likelihood import (
     EstimationResult,
     TupleSet,
     _fd_step,
+    _lag_gather,
     _make_params,
     _param_names,
-    _sigma_matrix,
     _theta_of,
+    _tuple_sigmas,
 )
 from .models import (
     CltCase,
@@ -84,24 +85,25 @@ def _free_names(model: ModelSpec) -> tuple[str, ...]:
 
 
 def _tuple_factors(model: ModelSpec, q_set: TupleSet, delta: float):
-    """Per-tuple (entries, Sigma^{-1}, [dSigma/dtheta_r]) at the model point."""
+    """Per-tuple (entries, Sigma^{-1}, (dSigma/dtheta_r, ...)) at the model point."""
     params = model.params
     theta = _theta_of(params)
-    names = _param_names(model.family)
+    lags, index = _lag_gather(q_set.tuples)
+    sigmas = _tuple_sigmas(params, delta, lags, index)
+    # dsig_by_param[r][k]: central difference of tuple k's Sigma in theta_r
+    dsig_by_param = []
+    for r, name in enumerate(_param_names(model.family)):
+        h = _fd_step(name, theta[r])
+        up, dn = theta.copy(), theta.copy()
+        up[r] += h
+        dn[r] -= h
+        s_up = _tuple_sigmas(_make_params(model.family, up, params.mu), delta, lags, index)
+        s_dn = _tuple_sigmas(_make_params(model.family, dn, params.mu), delta, lags, index)
+        dsig_by_param.append([(u - d) / (2.0 * h) for u, d in zip(s_up, s_dn)])
     out = []
-    for tup in q_set.tuples:
-        sigma = _sigma_matrix(params, tup, delta)
+    for tup, sigma, dsigs in zip(q_set.tuples, sigmas, zip(*dsig_by_param)):
         c = cho_factor(sigma, lower=True, check_finite=False)
         inv = cho_solve(c, np.eye(len(tup)), check_finite=False)
-        dsigs = []
-        for r, name in enumerate(names):
-            h = _fd_step(name, theta[r])
-            up, dn = theta.copy(), theta.copy()
-            up[r] += h
-            dn[r] -= h
-            s_up = _sigma_matrix(_make_params(model.family, up, params.mu), tup, delta)
-            s_dn = _sigma_matrix(_make_params(model.family, dn, params.mu), tup, delta)
-            dsigs.append((s_up - s_dn) / (2.0 * h))
         out.append((np.asarray(tup), inv, dsigs))
     return out
 

@@ -66,13 +66,14 @@ from .likelihood import (
     DEFAULT_STRIDES,
     EstimationResult,
     TupleSet,
+    _cl_value,
+    _ClCore,
     build_default_tuples,
-    cl_eval,
     fit_mcle,
 )
 from .mle import FULL_LIKELIHOOD_CAP, fit_mle
 from .mme import mme_cauchy, mme_fou
-from .models import CauchyParams, Family, FouParams, ModelSpec
+from .models import PARAM_BOXES, CauchyParams, Family, FouParams, ModelSpec
 from .simulate import (
     SampleSeries,
     read_series_csv,
@@ -776,10 +777,14 @@ def cmd_heatmap(opts: Opts) -> int:
 
     grid = np.full((xs.size, alphas.size), np.nan)
     failures = 0
+    try:
+        core = _ClCore(y, q_set)
+    except GpclError as exc:
+        raise DataError("composite likelihood failed on every grid cell") from exc
     for i, x in enumerate(xs):
         for j, a in enumerate(alphas):
             try:
-                grid[i, j] = cl_eval(ModelSpec(_params(x, a), "known"), y, q_set)
+                grid[i, j] = _cl_value(core, ModelSpec(_params(x, a), "known"))
             except GpclError:
                 failures += 1
     if not np.isfinite(grid).any():
@@ -884,16 +889,21 @@ def cmd_profile(opts: Opts) -> int:
             return ModelSpec(FouParams(kappa=x, nu=nu, hurst=a + 0.5, mu=mu), mode)
         return ModelSpec(CauchyParams(beta=x, nu=nu, alpha=a, mu=mu), mode)
 
+    try:
+        core = _ClCore(y, q_set)
+    except GpclError as exc:
+        raise DataError("profile evaluation failed at every point") from exc
+
     def _inner_max(x):
         def objective(a):
             try:
-                return -cl_eval(_model(x, a), y, q_set)
+                return -_cl_value(core, _model(x, a))
             except GpclError:
                 return np.inf
 
         res = scipy.optimize.minimize_scalar(
             objective,
-            bounds=(-0.499, 0.499),
+            bounds=PARAM_BOXES[Family.CAUCHY]["alpha"][:2],
             method="bounded",
             options={"xatol": 1e-7},
         )

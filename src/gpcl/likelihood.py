@@ -27,6 +27,7 @@ from .errors import (
     SampleSizeError,
 )
 from .models import (
+    PARAM_BOXES,
     CauchyParams,
     Family,
     FouParams,
@@ -57,17 +58,6 @@ _GRAD_TOL = 1e-4
 _WHITEN_MIN_Q = 9
 
 DEFAULT_STRIDES = (1, 6, 12, 24, 60)
-
-_FOU_DEFS = (
-    ParamDef("kappa", 1e-8, 1e3, "log"),
-    ParamDef("nu", 1e-8, 1e3, "log"),
-    ParamDef("hurst", 0.001, 0.999, "logit"),
-)
-_CAUCHY_DEFS = (
-    ParamDef("beta", 1e-4, 50.0, "log"),
-    ParamDef("nu", 1e-8, 1e3, "log"),
-    ParamDef("alpha", -0.499, 0.499, "logit"),
-)
 
 
 @dataclass(frozen=True)
@@ -123,11 +113,18 @@ def build_default_tuples(q: int = 3, strides=DEFAULT_STRIDES) -> TupleSet:
     return TupleSet(tuple((0, s, 2 * s) for s in strides))
 
 
-def _sigma_matrix(params: Params, tup: tuple[int, ...], delta: float) -> np.ndarray:
-    ks = np.asarray(tup)
-    lag_mat = np.abs(ks[:, None] - ks[None, :])
-    rho = correlation_at_lags(params, delta, lag_mat)
-    return params.nu**2 * rho
+def _lag_gather(tuples) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Distinct within-tuple lags, and each tuple's lag matrix as indices into them."""
+    mats = [np.abs(np.subtract.outer(t, t)) for t in map(np.asarray, tuples)]
+    lags, flat = np.unique(np.concatenate([m.ravel() for m in mats]), return_inverse=True)
+    cuts = np.cumsum([m.size for m in mats])[:-1]
+    return lags, [i.reshape(m.shape) for i, m in zip(np.split(flat, cuts), mats)]
+
+
+def _tuple_sigmas(params: Params, delta: float, lags, index) -> list[np.ndarray]:
+    """Every tuple's covariance from one correlation evaluation at ``lags``."""
+    acv = params.nu**2 * correlation_at_lags(params, delta, lags)
+    return [acv[idx] for idx in index]
 
 
 def tuple_covariance(model: ModelSpec, tup, delta: float) -> np.ndarray:
@@ -135,7 +132,7 @@ def tuple_covariance(model: ModelSpec, tup, delta: float) -> np.ndarray:
     tup = tuple(int(k) for k in tup)
     if len(tup) < 1 or tup[0] != 0 or any(b <= a for a, b in zip(tup, tup[1:])):
         raise DomainError(f"invalid index tuple {tup}")
-    sigma = _sigma_matrix(model.params, tup, delta)
+    (sigma,) = _tuple_sigmas(model.params, delta, *_lag_gather((tup,)))
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -167,7 +164,7 @@ class _TupleStats:
 class _ClCore:
     """Per-series workspace shared by every objective evaluation."""
 
-    __slots__ = ("delta", "n", "ybar", "stats", "masked_rows")
+    __slots__ = ("delta", "n", "ybar", "stats", "masked_rows", "lags", "lag_index")
 
     def __init__(self, series: SampleSeries, q_set: TupleSet):
         vals = series.values
@@ -182,6 +179,7 @@ class _ClCore:
         if not finite.any():
             raise DataError("series has no usable observations")
         self.ybar = float(vals[finite].mean())
+        self.lags, self.lag_index = _lag_gather(q_set.tuples)
         z = vals - self.ybar
         has_gap = not finite.all()
         self.masked_rows = 0
@@ -213,8 +211,8 @@ class _ClCore:
 
     def _factor(self, params: Params):
         dense = []
-        for st in self.stats:
-            sigma = _sigma_matrix(params, st.tup, self.delta)
+        sigmas = _tuple_sigmas(params, self.delta, self.lags, self.lag_index)
+        for st, sigma in zip(self.stats, sigmas):
             try:
                 c, low = cho_factor(sigma, lower=True, check_finite=False)
             except (np.linalg.LinAlgError, ValueError):
@@ -267,12 +265,12 @@ def _as_family(family) -> Family:
         raise DomainError(f"unknown family {family!r}") from None
 
 
-def _family_defs(family: Family):
-    return list(_FOU_DEFS if family is Family.FOU else _CAUCHY_DEFS)
+def _family_defs(family: Family) -> list[ParamDef]:
+    return [ParamDef(name, *box) for name, box in PARAM_BOXES[family].items()]
 
 
 def _param_names(family: Family) -> tuple[str, ...]:
-    return ("kappa", "nu", "hurst") if family is Family.FOU else ("beta", "nu", "alpha")
+    return tuple(PARAM_BOXES[family])
 
 
 def _make_params(family: Family, theta, mu: float) -> Params:
@@ -294,18 +292,22 @@ def _normalize_mean_mode(mean_mode: str) -> str:
     return mode
 
 
+def _cl_value(core: _ClCore, model: ModelSpec) -> float:
+    """``cl_eval`` on a prebuilt workspace; a non-finite value raises."""
+    mu = None if model.mean_is_estimated else model.params.mu
+    val, _ = core.evaluate(model.params, mu)
+    if not math.isfinite(val):
+        raise EvaluationError(f"composite likelihood is not finite ({val})")
+    return val
+
+
 def cl_eval(model: ModelSpec, y: SampleSeries, q_set: TupleSet) -> float:
     """Composite log-likelihood of the series under the model.
 
     With an estimated mean the GLS profile value is substituted before
     evaluation; with a known mean ``model.params.mu`` is used.
     """
-    core = _ClCore(y, q_set)
-    mu = None if model.mean_is_estimated else model.params.mu
-    val, _ = core.evaluate(model.params, mu)
-    if not math.isfinite(val):
-        raise EvaluationError(f"composite likelihood is not finite ({val})")
-    return val
+    return _cl_value(_ClCore(y, q_set), model)
 
 
 def gls_mean(model: ModelSpec, y: SampleSeries, q_set: TupleSet) -> float:
@@ -435,6 +437,29 @@ def _default_tuples_for(n: int) -> TupleSet:
     raise SampleSizeError(f"series of length {n} is too short to form any tuple")
 
 
+def _start_vector(
+    y: SampleSeries, fam: Family, init, mode: str, known_mean: float, diagnostics: list[str]
+) -> np.ndarray:
+    """Moment-estimator start (or ``init``) clamped into the box; notes go to ``diagnostics``."""
+    if init is None:
+        km = known_mean if mode == "known" else None
+        if fam is Family.FOU:
+            init_vec, notes = _mme.fou_init(y, known_mean=km)
+        else:
+            init_vec, notes = _mme.cauchy_init(y, known_mean=km)
+        diagnostics.extend(notes)
+    else:
+        init_vec = np.asarray(init, dtype=float)
+        if init_vec.shape != (3,):
+            raise DomainError(
+                f"init must have 3 entries {_param_names(fam)}, got shape {init_vec.shape}"
+            )
+    init_used, moved = clamp_to_box(init_vec, _family_defs(fam))
+    if moved and "init-clamped" not in diagnostics:
+        diagnostics.append("init-clamped")
+    return init_used
+
+
 def fit_mcle(
     y: SampleSeries,
     family,
@@ -492,21 +517,7 @@ def fit_mcle(
             diagnostics=("degenerate-data",),
         )
 
-    if init is None:
-        km = known_mean if mode == "known" else None
-        if fam is Family.FOU:
-            init_vec, notes = _mme.fou_init(y, known_mean=km)
-        else:
-            init_vec, notes = _mme.cauchy_init(y, known_mean=km)
-        diagnostics.extend(notes)
-    else:
-        init_vec = np.asarray(init, dtype=float)
-        if init_vec.shape != (3,):
-            raise DomainError(f"init must have 3 entries {names}, got shape {init_vec.shape}")
-    init_used, moved = clamp_to_box(init_vec, defs)
-    if moved and "init-clamped" not in diagnostics:
-        diagnostics.append("init-clamped")
-
+    init_used = _start_vector(y, fam, init, mode, known_mean, diagnostics)
     core = _ClCore(y, q_set)
     if core.masked_rows:
         diagnostics.append(f"masked-rows:{core.masked_rows}")

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
-from . import mme as _mme
-from ._optim import clamp_to_box, maximize
+from ._optim import maximize
 from .errors import (
     CovarianceError,
     DataError,
-    DomainError,
     GpclError,
     SampleSizeError,
 )
@@ -30,14 +28,9 @@ from .likelihood import (
     _make_params,
     _normalize_mean_mode,
     _param_names,
+    _start_vector,
 )
-from .models import (
-    _CACHE_MAX_LAGS as _PREFIX_CAP,
-    Family,
-    ModelSpec,
-    _cached_prefix,
-    _raw_correlation,
-)
+from .models import Family, ModelSpec, correlation_grid
 from .simulate import SampleSeries
 
 __all__ = ["MleResult", "full_loglik", "fit_mle", "FULL_LIKELIHOOD_CAP"]
@@ -74,11 +67,7 @@ def _dense_factor(model: ModelSpec, n: int, delta: float, n_cap: int):
             f"n^3); got n={n}. Use the composite likelihood instead."
         )
     params = model.params
-    if n <= _PREFIX_CAP:
-        acv = params.nu**2 * _cached_prefix(params, delta, n)
-    else:
-        acv = params.nu**2 * _raw_correlation(params, np.arange(n) * delta)
-    sigma = toeplitz(acv)
+    sigma = toeplitz(params.nu**2 * correlation_grid(params, delta, n))
     try:
         c, low = cho_factor(sigma, lower=True, check_finite=False)
     except (np.linalg.LinAlgError, ValueError):
@@ -135,20 +124,7 @@ def fit_mle(
             f"n^3); got n={n}. Use the composite likelihood instead."
         )
     diagnostics: list[str] = []
-    if init is None:
-        km = known_mean if mode == "known" else None
-        if fam is Family.FOU:
-            init_vec, notes = _mme.fou_init(y, known_mean=km)
-        else:
-            init_vec, notes = _mme.cauchy_init(y, known_mean=km)
-        diagnostics.extend(notes)
-    else:
-        init_vec = np.asarray(init, dtype=float)
-        if init_vec.shape != (3,):
-            raise DomainError(f"init must have 3 entries {names}, got shape {init_vec.shape}")
-    init_used, moved = clamp_to_box(init_vec, defs)
-    if moved and "init-clamped" not in diagnostics:
-        diagnostics.append("init-clamped")
+    init_used = _start_vector(y, fam, init, mode, known_mean, diagnostics)
 
     mode_kwargs = {"mean_mode": mode}
 

@@ -27,7 +27,7 @@ from .errors import (
     NonIdentifiedError,
     SampleSizeError,
 )
-from .models import CauchyParams, Family, cauchy_acf
+from .models import PARAM_BOXES, CauchyParams, Family, cauchy_acf
 from .simulate import SampleSeries
 
 __all__ = [
@@ -41,7 +41,9 @@ __all__ = [
     "cauchy_init",
 ]
 
-BETA_SEARCH_BOUNDS = (1e-4, 50.0)
+_FOU_BOX = PARAM_BOXES[Family.FOU]
+_CAUCHY_BOX = PARAM_BOXES[Family.CAUCHY]
+BETA_SEARCH_BOUNDS = _CAUCHY_BOX["beta"][:2]
 DEFAULT_MATCH_LAGS = (1, 6, 12, 24, 60)
 
 
@@ -257,7 +259,8 @@ def mme_cauchy(y, delta=None, known_mean=None, match_lags=DEFAULT_MATCH_LAGS) ->
 # ---------------------------------------------------------------------------
 
 
-def _clip_noted(value: float, lo: float, hi: float, notes: list[str]) -> float:
+def _clip_noted(value: float, box, notes: list[str]) -> float:
+    lo, hi, _ = box
     clipped = min(max(value, lo), hi)
     if clipped != value and "init-clamped" not in notes:
         notes.append("init-clamped")
@@ -275,7 +278,7 @@ def fou_init(y, delta=None, known_mean=None) -> tuple[np.ndarray, list[str]]:
     except GpclError:
         notes.append("init-fallback")
         return np.array([0.1, nu, 0.5]), notes
-    hurst = _clip_noted(alpha + 0.5, 0.001, 0.999, notes)
+    hurst = _clip_noted(alpha + 0.5, _FOU_BOX["hurst"], notes)
     two_h = 2.0 * hurst
     diffs = _strided_diff_terms(vals, 2, 1)
     amp_sq = float(np.sum(diffs**2)) / ((diffs.size + 2) * (4.0 - 2.0**two_h) * delta**two_h)
@@ -284,7 +287,7 @@ def fou_init(y, delta=None, known_mean=None) -> tuple[np.ndarray, list[str]]:
     else:
         kappa = 0.1
         notes.append("init-fallback")
-    kappa = _clip_noted(kappa, 1e-8, 1e3, notes)
+    kappa = _clip_noted(kappa, _FOU_BOX["kappa"], notes)
     return np.array([kappa, nu, hurst]), notes
 
 
@@ -299,7 +302,7 @@ def cauchy_init(y, delta=None, known_mean=None, match_lags=DEFAULT_MATCH_LAGS) -
     except GpclError:
         notes.append("init-fallback")
         return np.array([1.0, nu, 0.0]), notes
-    alpha = _clip_noted(alpha, -0.499, 0.499, notes)
+    alpha = _clip_noted(alpha, _CAUCHY_BOX["alpha"], notes)
     beta = 1.0
     try:
         lags = [int(h) for h in match_lags if 0 < h < vals.size]
@@ -309,5 +312,5 @@ def cauchy_init(y, delta=None, known_mean=None, match_lags=DEFAULT_MATCH_LAGS) -
             notes.append("init-fallback")
     except GpclError:
         notes.append("init-fallback")
-    beta = _clip_noted(beta, 1e-4, 50.0, notes)
+    beta = _clip_noted(beta, _CAUCHY_BOX["beta"], notes)
     return np.array([beta, nu, alpha]), notes

@@ -10,16 +10,15 @@ Two stationary Gaussian families are supported:
   correlation is ``(1 + |h|^{2a+1})^{-b/(2a+1)}``.
 
 Both expose true correlations (``rho(0) == 1``); autocovariances are
-``nu**2 * rho``.  Correlation evaluations are memoized per parameter
-point; the fOU correlation has a special-function closed form with an
-adaptive-quadrature twin kept for cross-checking.
+``nu**2 * rho``.  Correlations are evaluated at exactly the lags asked
+for; the fOU correlation has a special-function closed form with an
+adaptive-quadrature twin kept for cross-checking.  ``PARAM_BOXES`` holds
+each family's parameter names, in order, with the boxes the fits search.
 """
 from __future__ import annotations
 
 import enum
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ __all__ = [
     "FouParams",
     "CauchyParams",
     "ModelSpec",
+    "PARAM_BOXES",
     "Roughness",
     "Memory",
     "CltCase",
@@ -104,9 +104,6 @@ class FouParams:
         two_h = 2.0 * self.hurst
         return math.sqrt(self.kappa**two_h / (self.hurst * gamma_fn(two_h)))
 
-    def shape_key(self) -> tuple:
-        return (Family.FOU, self.kappa, self.hurst)
-
 
 @dataclass(frozen=True)
 class CauchyParams:
@@ -140,11 +137,25 @@ class CauchyParams:
         """Origin-behavior exponent ``2*alpha + 1``, in (0, 2)."""
         return 2.0 * self.alpha + 1.0
 
-    def shape_key(self) -> tuple:
-        return (Family.CAUCHY, self.beta, self.alpha)
-
 
 Params = FouParams | CauchyParams
+
+# Each family's free parameters in their fixed order, with the box the
+# likelihood fits search and the optimizer's transform (log for positive
+# parameters, scaled logit for interval ones).  Moment-estimator starting
+# values are clipped into the same boxes.
+PARAM_BOXES = {
+    Family.FOU: {
+        "kappa": (1e-8, 1e3, "log"),
+        "nu": (1e-8, 1e3, "log"),
+        "hurst": (0.001, 0.999, "logit"),
+    },
+    Family.CAUCHY: {
+        "beta": (1e-4, 50.0, "log"),
+        "nu": (1e-8, 1e3, "log"),
+        "alpha": (-0.499, 0.499, "logit"),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -309,62 +320,14 @@ def cauchy_acf(params: CauchyParams, h):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Memoized correlation evaluation.  Keyed by the shape parameters and the
-# sampling interval; values map integer lag -> correlation.  The lock makes
-# concurrent read/insert safe; entries are evicted LRU beyond a bound.
-# ---------------------------------------------------------------------------
-
-_cache_lock = threading.Lock()
-_corr_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_CACHE_MAX_ENTRIES = 160
-# Largest consecutive-lag grid worth keeping around (512 KiB per entry).
-# Million-lag requests (exact simulation of huge series) are computed
-# directly and never stored, so the cache cannot balloon.
-_CACHE_MAX_LAGS = 65_536
-
-
 def _raw_correlation(params: Params, times: np.ndarray) -> np.ndarray:
     if isinstance(params, CauchyParams):
         return np.atleast_1d(cauchy_acf(params, times))
     return np.atleast_1d(_fou_correlation_closed(params.kappa, params.hurst, times))
 
 
-def _cached_prefix(params: Params, delta: float, n_lags: int) -> np.ndarray:
-    """Correlations at consecutive lags ``0..n_lags-1`` from the grid cache.
-
-    Grids grow geometrically per (shape, delta) key so the usual pattern of
-    creeping lag requests during a fit recomputes at most a handful of
-    times.  The returned slice aliases the cache; callers must not mutate.
-    """
-    key = params.shape_key() + (float(delta),)
-    with _cache_lock:
-        grid = _corr_cache.get(key)
-        if grid is not None:
-            _corr_cache.move_to_end(key)
-    if grid is not None and grid.size >= n_lags:
-        return grid[:n_lags]
-    want = max(256, 1 << max(0, int(np.ceil(np.log2(n_lags)))))
-    want = max(min(want, _CACHE_MAX_LAGS), n_lags)
-    fresh = _raw_correlation(params, np.arange(want) * delta)
-    if want <= _CACHE_MAX_LAGS:
-        with _cache_lock:
-            held = _corr_cache.get(key)
-            if held is None or held.size < fresh.size:
-                _corr_cache[key] = fresh
-                _corr_cache.move_to_end(key)
-                while len(_corr_cache) > _CACHE_MAX_ENTRIES:
-                    _corr_cache.popitem(last=False)
-    return fresh[:n_lags]
-
-
 def correlation_at_lags(params: Params, delta: float, lags) -> np.ndarray:
-    """Correlations at integer lag multiples of ``delta``, memoized.
-
-    Lags below the cache ceiling are served from a shared consecutive-lag
-    grid (one vectorized evaluation, then fancy indexing); anything larger
-    is evaluated directly without touching the cache.
-    """
+    """Correlations at integer lag multiples of ``delta``, shaped like ``lags``."""
     if not (math.isfinite(delta) and delta > 0):
         raise DomainError(f"delta must be positive and finite, got {delta}")
     lag_arr = np.asarray(lags, dtype=np.int64)
@@ -372,9 +335,6 @@ def correlation_at_lags(params: Params, delta: float, lags) -> np.ndarray:
         return np.empty(lag_arr.shape)
     if lag_arr.min() < 0:
         raise DomainError("lags must be nonnegative integers")
-    top = int(lag_arr.max()) + 1
-    if top <= _CACHE_MAX_LAGS:
-        return _cached_prefix(params, delta, top)[lag_arr]
     vals = _raw_correlation(params, lag_arr.ravel() * delta)
     return vals.reshape(lag_arr.shape)
 
@@ -383,8 +343,6 @@ def correlation_grid(params: Params, delta: float, n_lags: int) -> np.ndarray:
     """Dense correlation grid ``rho(0), rho(delta), ..., rho((n_lags-1) delta)``."""
     if n_lags < 1:
         raise DomainError("n_lags must be >= 1")
-    if n_lags <= _CACHE_MAX_LAGS:
-        return _cached_prefix(params, delta, n_lags).copy()
     return _raw_correlation(params, np.arange(n_lags) * delta)
 
 

@@ -13,12 +13,18 @@ All randomness is seeded; the heavy tests (replication studies, the
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import curve_fit
 from scipy.special import gamma as _gamma_fn
 
+import gpcl
 from gpcl import hf
 from gpcl.asymptotics import attach_std_errors
 from gpcl.cli import PANELS, StudyConfig, run_mc_study
@@ -271,9 +277,12 @@ def test_a06_estimated_mean_inflates_memory_estimate_and_fades_with_horizon():
 #    the composite objective stays near-linear, making it ~1000x cheaper at
 #    n = 3000.
 # ---------------------------------------------------------------------------
-def test_a07_exact_cost_superquadratic_composite_near_linear():
-    grid = (120, 270, 600, 1350, 3000)
-    base = simulate_fou(PANELS["fou"]["B"], max(grid), DELTA_DAILY12, seed=[77])
+_A07_GRID = (120, 270, 600, 1350, 3000)
+
+
+def _a07_timings() -> tuple[list[float], list[float]]:
+    """Best-of-repeats exact and composite evaluation times at each n."""
+    base = simulate_fou(PANELS["fou"]["B"], max(_A07_GRID), DELTA_DAILY12, seed=[77])
     model = ModelSpec(PANELS["fou"]["B"])
     q_set = build_default_tuples(3, (1, 6, 12, 24))
 
@@ -285,18 +294,36 @@ def test_a07_exact_cost_superquadratic_composite_near_linear():
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    # Warm both paths (correlation caches, BLAS initialization).
+    # Warm both paths (lazy imports, BLAS initialization).
     warm = SampleSeries(base.values[:120].copy(), base.delta)
     full_loglik(model, warm)
     cl_eval(model, base, q_set)
 
     t_ml, t_cl = [], []
-    for n in grid:
+    for n in _A07_GRID:
         y = SampleSeries(base.values[:n].copy(), base.delta)
         reps = 7 if n <= 600 else 3
         t_ml.append(best_of(lambda: full_loglik(model, y), reps))
         t_cl.append(best_of(lambda: cl_eval(model, y, q_set), 7))
-    n_arr = np.asarray(grid, dtype=float)
+    return t_ml, t_cl
+
+
+def test_a07_exact_cost_superquadratic_composite_near_linear():
+    # The timings run in a child process with one BLAS thread: a threaded
+    # Cholesky speeds up with n and flattens the measured exponent.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src_dir = str(Path(gpcl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); "
+        "from test_acceptance import _a07_timings; print(json.dumps(_a07_timings()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    t_ml, t_cl = json.loads(proc.stdout.splitlines()[-1])
+    n_arr = np.asarray(_A07_GRID, dtype=float)
 
     def power_law(n, c, e):
         return c * n**e

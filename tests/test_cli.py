@@ -440,15 +440,15 @@ def test_profile_boundary_ridge_on_cumulated_fractional_noise(series_dir, capsys
 
 
 def test_profile_inner_failures_are_flagged(series_dir, capsys, monkeypatch):
-    real_eval = cli.cl_eval
+    real_eval = cli._cl_value
 
-    def flaky(model, y, q_set):
+    def flaky(core, model):
         kappa = model.params.kappa
         if abs(kappa - 0.01) < 1e-12:
             raise EvaluationError("synthetic failure")
-        return real_eval(model, y, q_set)
+        return real_eval(core, model)
 
-    monkeypatch.setattr(cli, "cl_eval", flaky)
+    monkeypatch.setattr(cli, "_cl_value", flaky)
     code, out, _ = run_cli(
         ["profile", "--series", series_dir / "fou_b.csv", "--family", "fou",
          "--axis", "0.001:0.1:3", "--mean-mode", "known:0",

@@ -167,6 +167,46 @@ def test_cl_eval_gap_masking_matches_manual_sum():
     assert got == pytest.approx(manual, abs=1e-10 * (1 + abs(manual)))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        FouParams(kappa=0.3, nu=1.2, hurst=0.3, mu=0.4),
+        CauchyParams(beta=0.8, nu=0.7, alpha=-0.2, mu=0.4),
+    ],
+)
+def test_cl_eval_mixed_tuples_match_per_window_sum(params):
+    # Tuples of different lengths share some lags (1, 2, 4, 5) and not
+    # others (3, 6, 9); each tuple's covariance must come out of the shared
+    # lag evaluation exactly as tuple_covariance builds it alone.
+    q = TupleSet(((0,), (0, 2), (0, 1, 5), (0, 3, 4, 9)))
+    vals = simulate_fou(FouParams(kappa=0.5, nu=1.0, hurst=0.4), 40, DELTA, seed=8).values + 0.5
+    vals[17] = np.nan
+    y = SampleSeries(vals, delta=DELTA, origin="EMPIRICAL")
+    terms = []  # (q, Sigma^{-1}, log det Sigma, complete windows)
+    for tup in q.tuples:
+        sigma = tuple_covariance(ModelSpec(params), tup, DELTA)
+        rows = np.arange(vals.size - tup[-1])[:, None] + np.asarray(tup)
+        windows = vals[rows]
+        windows = windows[np.isfinite(windows).all(axis=1)]
+        terms.append((len(tup), np.linalg.inv(sigma), np.linalg.slogdet(sigma)[1], windows))
+
+    def manual(mu):
+        return sum(
+            -0.5 * (w.shape[0] * (qq * math.log(2 * math.pi) + logdet)
+                    + np.einsum("wa,ab,wb->", w - mu, inv, w - mu))
+            for qq, inv, logdet, w in terms
+        )
+
+    known = manual(params.mu)
+    gls_mu = sum(float((w @ inv).sum()) for _, inv, _, w in terms) / sum(
+        w.shape[0] * float(inv.sum()) for _, inv, _, w in terms
+    )
+    profiled = manual(gls_mu)
+    assert cl_eval(ModelSpec(params, "known"), y, q) == pytest.approx(known, rel=1e-10)
+    assert cl_eval(ModelSpec(params, "estimated"), y, q) == pytest.approx(profiled, rel=1e-10)
+    assert gls_mean(ModelSpec(params, "estimated"), y, q) == pytest.approx(gls_mu, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # GLS mean
 # ---------------------------------------------------------------------------
