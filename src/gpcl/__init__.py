@@ -18,9 +18,11 @@ from .errors import (
     TruncationError,
 )
 from .models import (
+    FAMILIES,
     CauchyParams,
     CltCase,
     Family,
+    FamilySpec,
     FouParams,
     Memory,
     ModelSpec,
@@ -36,7 +38,6 @@ from .models import (
 )
 from .simulate import (
     SampleSeries,
-    SimPlan,
     circulant_embed,
     read_series_csv,
     simulate,

@@ -21,16 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, RegimeError, TruncationError
-from .likelihood import (
-    EstimationResult,
-    TupleSet,
-    _fd_step,
-    _lag_gather,
-    _make_params,
-    _param_names,
-    _theta_of,
-    _tuple_sigmas,
-)
+from .likelihood import EstimationResult, TupleSet, _fd_step, _lag_gather, _tuple_sigmas
 from .models import (
     CltCase,
     ModelSpec,
@@ -80,25 +71,26 @@ class SandwichReport:
 
 
 def _free_names(model: ModelSpec) -> tuple[str, ...]:
-    names = _param_names(model.family)
+    names = model.spec.names
     return names + ("mu",) if model.mean_is_estimated else names
 
 
 def _tuple_factors(model: ModelSpec, q_set: TupleSet, delta: float):
     """Per-tuple (entries, Sigma^{-1}, (dSigma/dtheta_r, ...)) at the model point."""
     params = model.params
-    theta = _theta_of(params)
+    spec = model.spec
+    theta = spec.theta(params)
     lags, index = _lag_gather(q_set.tuples)
     sigmas = _tuple_sigmas(params, delta, lags, index)
     # dsig_by_param[r][k]: central difference of tuple k's Sigma in theta_r
     dsig_by_param = []
-    for r, name in enumerate(_param_names(model.family)):
+    for r, name in enumerate(spec.names):
         h = _fd_step(name, theta[r])
         up, dn = theta.copy(), theta.copy()
         up[r] += h
         dn[r] -= h
-        s_up = _tuple_sigmas(_make_params(model.family, up, params.mu), delta, lags, index)
-        s_dn = _tuple_sigmas(_make_params(model.family, dn, params.mu), delta, lags, index)
+        s_up = _tuple_sigmas(spec.make(up, params.mu), delta, lags, index)
+        s_dn = _tuple_sigmas(spec.make(dn, params.mu), delta, lags, index)
         dsig_by_param.append([(u - d) / (2.0 * h) for u, d in zip(s_up, s_dn)])
     out = []
     for tup, sigma, dsigs in zip(q_set.tuples, sigmas, zip(*dsig_by_param)):
@@ -116,7 +108,7 @@ def sensitivity_H(model: ModelSpec, q_set: TupleSet, delta: float) -> np.ndarray
     mean/covariance cross terms vanish for Gaussian densities.
     """
     names = _free_names(model)
-    p_shape = len(_param_names(model.family))
+    p_shape = len(model.spec.names)
     p = len(names)
     h_mat = np.zeros((p, p))
     for _, inv, dsigs in _tuple_factors(model, q_set, delta):
@@ -194,7 +186,7 @@ def _variability(model: ModelSpec, q_set: TupleSet, delta: float, lag_cap: int):
     d_max = 2 * q_set.max_index
     acv = _acv_grid(model.params, delta, lag_cap + d_max + 1)
     factors = _tuple_factors(model, q_set, delta)
-    p_shape = len(_param_names(model.family))
+    p_shape = len(model.spec.names)
     with_mu = model.mean_is_estimated
 
     c_full, b_full = _pair_shift_sums(acv, lag_cap, d_max)

@@ -64,23 +64,15 @@ from .hf import (
 )
 from .likelihood import (
     DEFAULT_STRIDES,
-    EstimationResult,
-    TupleSet,
     _cl_value,
     _ClCore,
     build_default_tuples,
     fit_mcle,
 )
 from .mle import FULL_LIKELIHOOD_CAP, fit_mle
-from .mme import mme_cauchy, mme_fou
-from .models import PARAM_BOXES, CauchyParams, Family, FouParams, ModelSpec
-from .simulate import (
-    SampleSeries,
-    read_series_csv,
-    simulate_cauchy,
-    simulate_fou,
-    write_series_csv,
-)
+from .mme import mme_estimate
+from .models import FAMILIES, CauchyParams, Family, FamilySpec, FouParams, ModelSpec
+from .simulate import read_series_csv, simulate, write_series_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,6 +99,13 @@ PANELS = {
     },
 }
 PANEL_ORDER = "ABCDE"
+
+# Per-family CLI defaults: the log-spaced (kappa|beta) axis of heatmap and
+# profile, and simulate's explicit parameters on the reporting scale.
+CLI_DEFAULTS = {
+    "fou": {"axis": "1e-4:1:25", "simulate": {"kappa": 0.01, "nu": 1.0, "alpha": -0.4}},
+    "cauchy": {"axis": "0.05:3:25", "simulate": {"beta": 1.0, "nu": 1.0, "alpha": 0.0}},
+}
 
 PSEUDO_PARAMETER_NOTE = (
     "estimates are specific to the fitted correlation family; if the data "
@@ -200,6 +199,24 @@ class Opts:
         return value
 
 
+def _family_spec(opts: Opts) -> FamilySpec:
+    """The ``--family`` option (default fou) as its table entry."""
+    name = opts.get("family", "fou")
+    try:
+        return FAMILIES[Family(name)]
+    except ValueError:
+        raise ConfigError(f"unknown family {name!r} (expected fou or cauchy)") from None
+
+
+def _parse_bool(text) -> bool:
+    value = str(text).strip().lower()
+    if value in ("true", "yes", "1"):
+        return True
+    if value in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected true/false/yes/no/1/0, got {text!r}")
+
+
 def _parse_int_list(text) -> tuple:
     if isinstance(text, (tuple, list)):
         return tuple(int(v) for v in text)
@@ -271,25 +288,13 @@ def _tuple_set(opts: Opts):
     )
 
 
-def _simulate(family: str, params, n: int, delta: float, seed) -> SampleSeries:
-    if family == "fou":
-        return simulate_fou(params, n, delta, seed=seed)
-    return simulate_cauchy(params, n, delta, seed=seed)
-
-
-def _theta_as_report(family: str, theta: np.ndarray) -> dict:
-    """Map a fitted theta to the reporting convention (scale, nu, alpha)."""
-    if family == "fou":
-        return {"kappa": theta[0], "nu": theta[1], "alpha": theta[2] - 0.5}
-    return {"beta": theta[0], "nu": theta[1], "alpha": theta[2]}
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
 
 def cmd_simulate(opts: Opts) -> int:
-    family = opts.get("family", "fou")
+    spec = _family_spec(opts)
+    family = spec.family.value
     big_t = opts.get("big_t", 1095, cast=int)
     n_per_day = opts.get("n_per_day", 12, cast=int)
     seed = opts.get("seed", 0, cast=int)
@@ -303,23 +308,12 @@ def cmd_simulate(opts: Opts) -> int:
     panel = opts.get("panel")
     if panel is not None:
         params = _panel_params(family, panel, mu=mu)
-    elif family == "fou":
-        params = FouParams(
-            kappa=opts.get("kappa", 0.01, cast=float),
-            nu=opts.get("nu", 1.0, cast=float),
-            hurst=opts.get("alpha", -0.4, cast=float) + 0.5,
-            mu=mu,
-        )
     else:
-        params = CauchyParams(
-            beta=opts.get("beta", 1.0, cast=float),
-            nu=opts.get("nu", 1.0, cast=float),
-            alpha=opts.get("alpha", 0.0, cast=float),
-            mu=mu,
-        )
+        defaults = CLI_DEFAULTS[family]["simulate"]
+        params = spec.from_report(*(opts.get(k, d, cast=float) for k, d in defaults.items()), mu=mu)
 
     n = big_t * n_per_day
-    series = _simulate(family, params, n, 1.0 / n_per_day, seed=[seed])
+    series = simulate(params, n, 1.0 / n_per_day, seed=[seed])
     write_series_csv(series, out)
     _log(f"wrote {n} observations to {out} (family={family}, seed={seed})")
     return EXIT_OK
@@ -358,14 +352,14 @@ def cmd_fit(opts: Opts) -> int:
     series_path = opts.get("series")
     if series_path is None:
         raise ConfigError("fit requires --series (input CSV path)")
-    family = opts.get("family", "fou")
+    spec = _family_spec(opts)
     mode, known_mean = _parse_mean_mode(opts.get("mean_mode", "estimated"))
     lag_trunc = opts.get("lag_trunc", DEFAULT_LAG_TRUNCATION, cast=int)
     delta = opts.get("delta", cast=float)
 
     y = read_series_csv(series_path, delta=delta)
     result = fit_mcle(
-        y, family, q_set=_tuple_set(opts), mean_mode=mode, known_mean=known_mean
+        y, spec.family, q_set=_tuple_set(opts), mean_mode=mode, known_mean=known_mean
     )
     _log(
         "regime: "
@@ -394,9 +388,7 @@ def cmd_fit(opts: Opts) -> int:
 
     payload = {
         "fit": result.to_dict(),
-        "report_scale": _theta_as_report(
-            "fou" if result.family is Family.FOU else "cauchy", result.theta_hat
-        ),
+        "report_scale": spec.report(result.theta_hat),
         "sandwich": sandwich_payload,
         "notes": notes,
     }
@@ -526,33 +518,9 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def _study_truth(family: str, params, estimated_mean: bool) -> dict:
-    if family == "fou":
-        truth = {"kappa": params.kappa, "nu": params.nu, "alpha": params.hurst - 0.5}
-    else:
-        truth = {"beta": params.beta, "nu": params.nu, "alpha": params.alpha}
-    if estimated_mean:
-        truth["mu"] = params.mu
-    return truth
-
-
-def _study_estimates(family: str, result: EstimationResult, mme, estimated_mean: bool):
-    mcle = _theta_as_report(family, result.theta_hat)
-    mme_est = {
-        ("kappa" if family == "fou" else "beta"): (
-            mme.kappa_hat if family == "fou" else mme.beta_hat
-        ),
-        "nu": mme.nu_hat,
-        "alpha": mme.alpha_hat,
-    }
-    if estimated_mean:
-        mcle["mu"] = float(result.mu_hat)
-        mme_est["mu"] = mme.mu_hat
-    return mcle, mme_est
-
-
 def run_mc_study(config: StudyConfig) -> StudyReport:
     """Replicate simulate -> (MCLE, MME) over the configured design."""
+    spec = FAMILIES[Family(config.family)]
     mode, known_mean = _parse_mean_mode(config.mean_mode)
     estimated_mean = mode == "estimated"
     q_set = build_default_tuples(config.q, config.strides)
@@ -566,7 +534,9 @@ def run_mc_study(config: StudyConfig) -> StudyReport:
     for panel in config.panels:
         panel = panel.upper()
         params = _panel_params(config.family, panel)
-        truth = _study_truth(config.family, params, estimated_mean)
+        truth = spec.report(spec.theta(params))
+        if estimated_mean:
+            truth["mu"] = params.mu
         for big_t in config.big_t:
             n = big_t * config.n_per_day
             mcle_draws = {k: [] for k in truth}
@@ -574,22 +544,19 @@ def run_mc_study(config: StudyConfig) -> StudyReport:
             failures = 0
             for rep in range(config.replications):
                 seed = [config.seed, PANEL_ORDER.index(panel), big_t, rep]
-                y = _simulate(config.family, params, n, delta, seed=seed)
+                y = simulate(params, n, delta, seed=seed)
                 try:
                     fit = fit_mcle(
                         y,
-                        config.family,
+                        spec.family,
                         q_set=q_set,
                         mean_mode=mode,
                         known_mean=known_mean,
                     )
                     if not fit.converged:
                         raise StudyError("composite-likelihood fit did not converge")
-                    km = None if estimated_mean else known_mean
-                    mme = (
-                        mme_fou(y, known_mean=km)
-                        if config.family == "fou"
-                        else mme_cauchy(y, known_mean=km)
+                    mme = mme_estimate(
+                        y, spec.family, known_mean=None if estimated_mean else known_mean
                     )
                 except GpclError as exc:
                     failures += 1
@@ -598,9 +565,10 @@ def run_mc_study(config: StudyConfig) -> StudyReport:
                         f"rep={rep}): {exc}"
                     )
                     continue
-                mcle_est, mme_est = _study_estimates(
-                    config.family, fit, mme, estimated_mean
-                )
+                mcle_est, mme_est = spec.report(fit.theta_hat), mme.report()
+                if estimated_mean:
+                    mcle_est["mu"] = float(fit.mu_hat)
+                    mme_est["mu"] = mme.mu_hat
                 for k in truth:
                     mcle_draws[k].append(mcle_est[k])
                     mme_draws[k].append(mme_est[k])
@@ -640,7 +608,7 @@ def run_mc_study(config: StudyConfig) -> StudyReport:
 
 def cmd_mc_study(opts: Opts) -> int:
     config = StudyConfig(
-        family=opts.get("family", "fou"),
+        family=_family_spec(opts).family.value,
         panels=tuple(
             str(p).upper() for p in str(opts.get("panels", "A,B,C,D,E")).split(",") if p
         ),
@@ -667,7 +635,8 @@ def cmd_mc_study(opts: Opts) -> int:
 
 
 def cmd_compare_mle(opts: Opts) -> int:
-    family = opts.get("family", "fou")
+    spec = _family_spec(opts)
+    family = spec.family.value
     panel = str(opts.get("panel", "B")).upper()
     big_t_grid = opts.get("big_t", (10, 50, 100, 150), cast=_parse_int_list)
     n_per_day = opts.get("n_per_day", 12, cast=int)
@@ -678,15 +647,14 @@ def cmd_compare_mle(opts: Opts) -> int:
         raise ConfigError(f"reps must be >= 1, got {reps}")
 
     params = _panel_params(family, panel)
-    truth = params.hurst if family == "fou" else params.alpha
-    shape_name = "hurst" if family == "fou" else "alpha"
+    truth = spec.theta(params)[2]
     delta = 1.0 / n_per_day
     q_set = _tuple_set(opts)
 
     lines = [
         "# gpcl compare-mle",
         f"# family={family} panel={panel} n_per_day={n_per_day} reps={reps} seed={seed}",
-        f"# rmse on {shape_name}; times in seconds (mean over reps)",
+        f"# rmse on {spec.names[2]}; times in seconds (mean over reps)",
     ]
     dropped = [t for t in big_t_grid if t * n_per_day > FULL_LIKELIHOOD_CAP]
     if dropped:
@@ -702,12 +670,12 @@ def cmd_compare_mle(opts: Opts) -> int:
             continue
         ml_err, cl_err, ml_time, cl_time = [], [], 0.0, 0.0
         for rep in range(reps):
-            y = _simulate(family, params, n, delta, seed=[seed, big_t, rep])
+            y = simulate(params, n, delta, seed=[seed, big_t, rep])
             t0 = time.perf_counter()
-            ml = fit_mle(y, family, mean_mode=mode, known_mean=known_mean)
+            ml = fit_mle(y, spec.family, mean_mode=mode, known_mean=known_mean)
             t1 = time.perf_counter()
             cl = fit_mcle(
-                y, family, q_set=q_set, mean_mode=mode, known_mean=known_mean
+                y, spec.family, q_set=q_set, mean_mode=mode, known_mean=known_mean
             )
             t2 = time.perf_counter()
             ml_time += t1 - t0
@@ -748,14 +716,12 @@ def cmd_heatmap(opts: Opts) -> int:
     series_path = opts.get("series")
     if series_path is None:
         raise ConfigError("heatmap requires --series (input CSV path)")
-    family = opts.get("family", "fou")
-    if family not in PANELS:
-        raise ConfigError(f"unknown family {family!r}")
+    spec = _family_spec(opts)
+    family = spec.family.value
     y = read_series_csv(series_path, delta=opts.get("delta", cast=float))
 
-    x_name = "kappa" if family == "fou" else "beta"
-    default_x = "1e-4:1:25" if family == "fou" else "0.05:3:25"
-    xs = _parse_axis(opts.get("grid_x", default_x), log_spaced=True)
+    x_name = spec.names[0]
+    xs = _parse_axis(opts.get("grid_x", CLI_DEFAULTS[family]["axis"]), log_spaced=True)
     alphas = _parse_axis(opts.get("grid_alpha", "-0.45:0.45:19"), log_spaced=False)
     max_cells = opts.get("max_cells", 10_000, cast=int)
     if xs.size * alphas.size > max_cells:
@@ -770,11 +736,6 @@ def cmd_heatmap(opts: Opts) -> int:
     nu = float(np.nanstd(y.values))
     q_set = _tuple_set(opts) or build_default_tuples()
 
-    def _params(x, a):
-        if family == "fou":
-            return FouParams(kappa=x, nu=nu, hurst=a + 0.5, mu=mu)
-        return CauchyParams(beta=x, nu=nu, alpha=a, mu=mu)
-
     grid = np.full((xs.size, alphas.size), np.nan)
     failures = 0
     try:
@@ -784,7 +745,7 @@ def cmd_heatmap(opts: Opts) -> int:
     for i, x in enumerate(xs):
         for j, a in enumerate(alphas):
             try:
-                grid[i, j] = _cl_value(core, ModelSpec(_params(x, a), "known"))
+                grid[i, j] = _cl_value(core, ModelSpec(spec.from_report(x, nu, a, mu), "known"))
             except GpclError:
                 failures += 1
     if not np.isfinite(grid).any():
@@ -795,10 +756,8 @@ def cmd_heatmap(opts: Opts) -> int:
     fit_cell = None
     fit_note = ""
     try:
-        fit = fit_mcle(y, family, q_set=q_set, mean_mode=mode, known_mean=known_mean)
-        fit_x, fit_a = fit.theta_hat[0], (
-            fit.theta_hat[2] - 0.5 if family == "fou" else fit.theta_hat[2]
-        )
+        fit = fit_mcle(y, spec.family, q_set=q_set, mean_mode=mode, known_mean=known_mean)
+        fit_x, fit_a = fit.theta_hat[0], spec.report(fit.theta_hat)["alpha"]
         fit_cell = (
             int(np.argmin(np.abs(np.log(xs) - math.log(fit_x)))),
             int(np.argmin(np.abs(alphas - fit_a))),
@@ -848,16 +807,14 @@ def cmd_profile(opts: Opts) -> int:
     series_path = opts.get("series")
     if series_path is None:
         raise ConfigError("profile requires --series (input CSV path)")
-    family = opts.get("family", "fou")
-    if family not in PANELS:
-        raise ConfigError(f"unknown family {family!r}")
+    spec = _family_spec(opts)
+    family = spec.family.value
     y = read_series_csv(series_path, delta=opts.get("delta", cast=float))
     mode, known_mean = _parse_mean_mode(opts.get("mean_mode", "estimated"))
     q_set = _tuple_set(opts) or build_default_tuples()
-    x_name = "kappa" if family == "fou" else "beta"
-    default_axis = "1e-4:1:25" if family == "fou" else "0.05:3:25"
-    xs = list(_parse_axis(opts.get("axis", default_axis), log_spaced=True))
-    include_fit = opts.get("include_fit", True)
+    x_name = spec.names[0]
+    xs = list(_parse_axis(opts.get("axis", CLI_DEFAULTS[family]["axis"]), log_spaced=True))
+    include_fit = opts.get("include_fit", True, cast=_parse_bool)
     fix = opts.get("fix", "fit")
     if fix not in ("fit", "sample"):
         raise ConfigError(f"--fix must be 'fit' or 'sample', got {fix!r}")
@@ -865,7 +822,7 @@ def cmd_profile(opts: Opts) -> int:
     fit = None
     fit_note = ""
     try:
-        fit = fit_mcle(y, family, q_set=q_set, mean_mode=mode, known_mean=known_mean)
+        fit = fit_mcle(y, spec.family, q_set=q_set, mean_mode=mode, known_mean=known_mean)
         fit_note = (
             f"# mcle {x_name}={_fmt(fit.theta_hat[0])} loglik={_fmt(fit.loglik)} "
             f"converged={fit.converged}"
@@ -884,26 +841,25 @@ def cmd_profile(opts: Opts) -> int:
         nu = float(np.nanstd(y.values))
         mu = float(np.nanmean(y.values))
 
-    def _model(x, a):
-        if family == "fou":
-            return ModelSpec(FouParams(kappa=x, nu=nu, hurst=a + 0.5, mu=mu), mode)
-        return ModelSpec(CauchyParams(beta=x, nu=nu, alpha=a, mu=mu), mode)
-
     try:
         core = _ClCore(y, q_set)
     except GpclError as exc:
         raise DataError("profile evaluation failed at every point") from exc
 
+    # The family's own roughness box, on the alpha scale.
+    roughness = spec.defs[2]
+    alpha_bounds = (roughness.lo - spec.alpha_offset, roughness.hi - spec.alpha_offset)
+
     def _inner_max(x):
         def objective(a):
             try:
-                return -_cl_value(core, _model(x, a))
+                return -_cl_value(core, ModelSpec(spec.from_report(x, nu, a, mu), mode))
             except GpclError:
                 return np.inf
 
         res = scipy.optimize.minimize_scalar(
             objective,
-            bounds=PARAM_BOXES[Family.CAUCHY]["alpha"][:2],
+            bounds=alpha_bounds,
             method="bounded",
             options={"xatol": 1e-7},
         )
@@ -1115,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="flat KEY=VALUE config file")
-        p.add_argument("--family", choices=("fou", "cauchy"))
+        p.add_argument("--family", choices=[f.value for f in Family])
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path ('-' or omitted = stdout)")
 

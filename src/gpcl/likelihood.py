@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from . import mme as _mme
-from ._optim import ParamDef, clamp_to_box, maximize
+from ._optim import clamp_to_box, maximize
 from .errors import (
     CovarianceError,
     DataError,
@@ -27,15 +27,15 @@ from .errors import (
     SampleSizeError,
 )
 from .models import (
-    PARAM_BOXES,
-    CauchyParams,
+    FAMILIES,
     Family,
-    FouParams,
+    FamilySpec,
     ModelSpec,
     Params,
     RegimeLabel,
     classify_regime,
     correlation_at_lags,
+    family_spec,
 )
 from .simulate import SampleSeries
 
@@ -256,35 +256,6 @@ class _ClCore:
         return total, m + self.ybar
 
 
-def _as_family(family) -> Family:
-    if isinstance(family, Family):
-        return family
-    try:
-        return Family(str(family).lower())
-    except ValueError:
-        raise DomainError(f"unknown family {family!r}") from None
-
-
-def _family_defs(family: Family) -> list[ParamDef]:
-    return [ParamDef(name, *box) for name, box in PARAM_BOXES[family].items()]
-
-
-def _param_names(family: Family) -> tuple[str, ...]:
-    return tuple(PARAM_BOXES[family])
-
-
-def _make_params(family: Family, theta, mu: float) -> Params:
-    if family is Family.FOU:
-        return FouParams(kappa=theta[0], nu=theta[1], hurst=theta[2], mu=mu)
-    return CauchyParams(beta=theta[0], nu=theta[1], alpha=theta[2], mu=mu)
-
-
-def _theta_of(params: Params) -> np.ndarray:
-    if isinstance(params, FouParams):
-        return np.array([params.kappa, params.nu, params.hurst])
-    return np.array([params.beta, params.nu, params.alpha])
-
-
 def _normalize_mean_mode(mean_mode: str) -> str:
     mode = str(mean_mode).lower()
     if mode not in ("known", "estimated"):
@@ -336,18 +307,18 @@ def _fd_step(name: str, value: float) -> float:
 
 
 def _score_from_core(core: _ClCore, family: Family, params: Params, mean_mode: str) -> np.ndarray:
-    theta = _theta_of(params)
-    names = _param_names(family)
+    spec = FAMILIES[family]
+    theta = spec.theta(params)
     estimated = mean_mode == "estimated"
     entries = []
-    for r, name in enumerate(names):
+    for r, name in enumerate(spec.names):
         h = _fd_step(name, theta[r])
         up, dn = theta.copy(), theta.copy()
         up[r] += h
         dn[r] -= h
         mu_arg = None if estimated else params.mu
-        f_up, _ = core.evaluate(_make_params(family, up, params.mu), mu_arg)
-        f_dn, _ = core.evaluate(_make_params(family, dn, params.mu), mu_arg)
+        f_up, _ = core.evaluate(spec.make(up, params.mu), mu_arg)
+        f_dn, _ = core.evaluate(spec.make(dn, params.mu), mu_arg)
         entries.append((f_up - f_dn) / (2.0 * h))
     if estimated:
         h = _fd_step("mu", params.mu)
@@ -397,7 +368,7 @@ class EstimationResult:
 
     @property
     def params(self) -> Params:
-        return _make_params(self.family, self.theta_hat, self.mu_value)
+        return FAMILIES[self.family].make(self.theta_hat, self.mu_value)
 
     def to_dict(self) -> dict:
         out = {
@@ -438,23 +409,21 @@ def _default_tuples_for(n: int) -> TupleSet:
 
 
 def _start_vector(
-    y: SampleSeries, fam: Family, init, mode: str, known_mean: float, diagnostics: list[str]
+    y: SampleSeries, spec: FamilySpec, init, mode: str, known_mean: float, diagnostics: list[str]
 ) -> np.ndarray:
     """Moment-estimator start (or ``init``) clamped into the box; notes go to ``diagnostics``."""
     if init is None:
         km = known_mean if mode == "known" else None
-        if fam is Family.FOU:
-            init_vec, notes = _mme.fou_init(y, known_mean=km)
-        else:
-            init_vec, notes = _mme.cauchy_init(y, known_mean=km)
+        start = _mme.fou_init if spec.family is Family.FOU else _mme.cauchy_init
+        init_vec, notes = start(y, known_mean=km)
         diagnostics.extend(notes)
     else:
         init_vec = np.asarray(init, dtype=float)
         if init_vec.shape != (3,):
             raise DomainError(
-                f"init must have 3 entries {_param_names(fam)}, got shape {init_vec.shape}"
+                f"init must have 3 entries {spec.names}, got shape {init_vec.shape}"
             )
-    init_used, moved = clamp_to_box(init_vec, _family_defs(fam))
+    init_used, moved = clamp_to_box(init_vec, spec.defs)
     if moved and "init-clamped" not in diagnostics:
         diagnostics.append("init-clamped")
     return init_used
@@ -479,7 +448,7 @@ def fit_mcle(
     """
     if not isinstance(y, SampleSeries):
         raise DataError("y must be a SampleSeries (wrap raw values first)")
-    fam = _as_family(family)
+    spec = family_spec(family)
     mode = _normalize_mean_mode(mean_mode)
     q_set = _default_tuples_for(y.values.size) if q_set is None else q_set
     n = y.values.size
@@ -487,20 +456,18 @@ def fit_mcle(
         raise SampleSizeError(
             f"need n > max tuple index + 1 = {q_set.max_index + 1}, got n={n}"
         )
-    defs = _family_defs(fam)
-    names = _param_names(fam)
     diagnostics: list[str] = []
 
     finite_vals = y.values[np.isfinite(y.values)]
     ybar = float(finite_vals.mean())
     scale = float(finite_vals.std())
     if not scale > 1e-14 * (1.0 + abs(ybar)):
-        theta0 = np.array([0.1, 1e-8, 0.5]) if fam is Family.FOU else np.array([1.0, 1e-8, 0.0])
+        theta0 = spec.start(1e-8)
         mu_val = known_mean if mode == "known" else ybar
-        params0 = _make_params(fam, theta0, mu_val)
+        params0 = spec.make(theta0, mu_val)
         return EstimationResult(
-            family=fam,
-            param_names=names,
+            family=spec.family,
+            param_names=spec.names,
             theta_hat=theta0,
             mu_hat="known" if mode == "known" else mu_val,
             mu_value=mu_val,
@@ -517,7 +484,7 @@ def fit_mcle(
             diagnostics=("degenerate-data",),
         )
 
-    init_used = _start_vector(y, fam, init, mode, known_mean, diagnostics)
+    init_used = _start_vector(y, spec, init, mode, known_mean, diagnostics)
     core = _ClCore(y, q_set)
     if core.masked_rows:
         diagnostics.append(f"masked-rows:{core.masked_rows}")
@@ -525,19 +492,19 @@ def fit_mcle(
 
     def objective(theta: np.ndarray) -> float:
         try:
-            params = _make_params(fam, theta, mu_fixed if mu_fixed is not None else 0.0)
+            params = spec.make(theta, mu_fixed if mu_fixed is not None else 0.0)
             val, _ = core.evaluate(params, mu_fixed)
         except GpclError:
             return -math.inf
         return val
 
-    opt = maximize(objective, defs, init_used, max_iters=max_iters)
+    opt = maximize(objective, spec.defs, init_used, max_iters=max_iters)
     theta_hat = opt.x
-    params_tmp = _make_params(fam, theta_hat, mu_fixed if mu_fixed is not None else 0.0)
+    params_tmp = spec.make(theta_hat, mu_fixed if mu_fixed is not None else 0.0)
     loglik, mu_value = core.evaluate(params_tmp, mu_fixed)
-    params_hat = _make_params(fam, theta_hat, mu_value)
+    params_hat = spec.make(theta_hat, mu_value)
 
-    score = _score_from_core(core, fam, params_hat, mode)
+    score = _score_from_core(core, spec.family, params_hat, mode)
     grad_ok = bool(np.max(np.abs(score)) <= _GRAD_TOL * (1.0 + abs(loglik)))
     converged = bool(opt.step_converged and grad_ok and math.isfinite(loglik))
     if not opt.step_converged:
@@ -546,8 +513,8 @@ def fit_mcle(
         diagnostics.append("gradient-criterion-unmet")
 
     return EstimationResult(
-        family=fam,
-        param_names=names,
+        family=spec.family,
+        param_names=spec.names,
         theta_hat=theta_hat,
         mu_hat="known" if mode == "known" else mu_value,
         mu_value=mu_value,

@@ -22,15 +22,8 @@ from .errors import (
     GpclError,
     SampleSizeError,
 )
-from .likelihood import (
-    _as_family,
-    _family_defs,
-    _make_params,
-    _normalize_mean_mode,
-    _param_names,
-    _start_vector,
-)
-from .models import Family, ModelSpec, correlation_grid
+from .likelihood import _normalize_mean_mode, _start_vector
+from .models import Family, ModelSpec, correlation_grid, family_spec
 from .simulate import SampleSeries
 
 __all__ = ["MleResult", "full_loglik", "fit_mle", "FULL_LIKELIHOOD_CAP"]
@@ -113,10 +106,8 @@ def fit_mle(
     """Maximize the exact likelihood; same optimizer contract as fit_mcle."""
     if not isinstance(y, SampleSeries):
         raise DataError("y must be a SampleSeries (wrap raw values first)")
-    fam = _as_family(family)
+    spec = family_spec(family)
     mode = _normalize_mean_mode(mean_mode)
-    names = _param_names(fam)
-    defs = _family_defs(fam)
     n = y.values.size
     if n > n_cap:
         raise SampleSizeError(
@@ -124,23 +115,23 @@ def fit_mle(
             f"n^3); got n={n}. Use the composite likelihood instead."
         )
     diagnostics: list[str] = []
-    init_used = _start_vector(y, fam, init, mode, known_mean, diagnostics)
+    init_used = _start_vector(y, spec, init, mode, known_mean, diagnostics)
 
     mode_kwargs = {"mean_mode": mode}
 
     def objective(theta: np.ndarray) -> float:
         try:
-            params = _make_params(fam, theta, known_mean if mode == "known" else 0.0)
+            params = spec.make(theta, known_mean if mode == "known" else 0.0)
             return full_loglik(ModelSpec(params, **mode_kwargs), y, n_cap=n_cap)
         except GpclError:
             return -math.inf
 
     start = time.perf_counter()
-    opt = maximize(objective, defs, init_used, max_iters=max_iters)
+    opt = maximize(objective, spec.defs, init_used, max_iters=max_iters)
     runtime = time.perf_counter() - start
 
     theta_hat = opt.x
-    params_tmp = _make_params(fam, theta_hat, known_mean if mode == "known" else 0.0)
+    params_tmp = spec.make(theta_hat, known_mean if mode == "known" else 0.0)
     model_hat = ModelSpec(params_tmp, **mode_kwargs)
     loglik = full_loglik(model_hat, y, n_cap=n_cap)
     if mode == "estimated":
@@ -155,8 +146,8 @@ def fit_mle(
     if not opt.step_converged:
         diagnostics.append("step-criterion-unmet")
     return MleResult(
-        family=fam,
-        param_names=names,
+        family=spec.family,
+        param_names=spec.names,
         theta_hat=theta_hat,
         mu_hat="known" if mode == "known" else mu_value,
         mu_value=mu_value,

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gamma as gamma_fn
 
+from ._optim import ParamDef
 from .errors import (
     DataError,
     DegenerateSeriesError,
@@ -27,7 +28,7 @@ from .errors import (
     NonIdentifiedError,
     SampleSizeError,
 )
-from .models import PARAM_BOXES, CauchyParams, Family, cauchy_acf
+from .models import FAMILIES, CauchyParams, Family, cauchy_acf
 from .simulate import SampleSeries
 
 __all__ = [
@@ -36,14 +37,15 @@ __all__ = [
     "cof_alpha",
     "mme_fou",
     "mme_cauchy",
+    "mme_estimate",
     "match_beta",
     "fou_init",
     "cauchy_init",
 ]
 
-_FOU_BOX = PARAM_BOXES[Family.FOU]
-_CAUCHY_BOX = PARAM_BOXES[Family.CAUCHY]
-BETA_SEARCH_BOUNDS = _CAUCHY_BOX["beta"][:2]
+_FOU = FAMILIES[Family.FOU]
+_CAUCHY = FAMILIES[Family.CAUCHY]
+BETA_SEARCH_BOUNDS = (_CAUCHY.defs[0].lo, _CAUCHY.defs[0].hi)
 DEFAULT_MATCH_LAGS = (1, 6, 12, 24, 60)
 
 
@@ -62,6 +64,11 @@ class MmeResult:
     def __post_init__(self) -> None:
         if self.hurst_hat != self.alpha_hat + 0.5:
             raise DomainError("hurst_hat must equal alpha_hat + 0.5 exactly")
+
+    def report(self) -> dict:
+        """Estimates on the shared ``(kappa|beta, nu, alpha)`` reporting scale."""
+        first = FAMILIES[self.family].names[0]
+        return {first: getattr(self, f"{first}_hat"), "nu": self.nu_hat, "alpha": self.alpha_hat}
 
 
 def _coerce(y, delta):
@@ -178,6 +185,12 @@ def mme_fou(y, delta=None, known_mean=None) -> MmeResult:
     )
 
 
+def mme_estimate(y, family: Family, known_mean=None) -> MmeResult:
+    """``mme_fou`` or ``mme_cauchy``, whichever estimates ``family``."""
+    estimate = mme_fou if family is Family.FOU else mme_cauchy
+    return estimate(y, known_mean=known_mean)
+
+
 def _sample_acf(vals: np.ndarray, mu: float, msd: float, lags) -> np.ndarray:
     """Pairwise-complete sample autocorrelations at integer grid lags."""
     z = vals - mu
@@ -259,9 +272,8 @@ def mme_cauchy(y, delta=None, known_mean=None, match_lags=DEFAULT_MATCH_LAGS) ->
 # ---------------------------------------------------------------------------
 
 
-def _clip_noted(value: float, box, notes: list[str]) -> float:
-    lo, hi, _ = box
-    clipped = min(max(value, lo), hi)
+def _clip_noted(value: float, box: ParamDef, notes: list[str]) -> float:
+    clipped = min(max(value, box.lo), box.hi)
     if clipped != value and "init-clamped" not in notes:
         notes.append("init-clamped")
     return clipped
@@ -277,17 +289,18 @@ def fou_init(y, delta=None, known_mean=None) -> tuple[np.ndarray, list[str]]:
         alpha = cof_alpha(vals, delta)
     except GpclError:
         notes.append("init-fallback")
-        return np.array([0.1, nu, 0.5]), notes
-    hurst = _clip_noted(alpha + 0.5, _FOU_BOX["hurst"], notes)
+        return _FOU.start(nu), notes
+    kappa_box, _, hurst_box = _FOU.defs
+    hurst = _clip_noted(alpha + 0.5, hurst_box, notes)
     two_h = 2.0 * hurst
     diffs = _strided_diff_terms(vals, 2, 1)
     amp_sq = float(np.sum(diffs**2)) / ((diffs.size + 2) * (4.0 - 2.0**two_h) * delta**two_h)
     if msd > 0 and amp_sq > 0:
         kappa = (msd / (amp_sq * hurst * gamma_fn(two_h))) ** (-1.0 / two_h)
     else:
-        kappa = 0.1
+        kappa = _FOU.neutral[0]
         notes.append("init-fallback")
-    kappa = _clip_noted(kappa, _FOU_BOX["kappa"], notes)
+    kappa = _clip_noted(kappa, kappa_box, notes)
     return np.array([kappa, nu, hurst]), notes
 
 
@@ -301,9 +314,10 @@ def cauchy_init(y, delta=None, known_mean=None, match_lags=DEFAULT_MATCH_LAGS) -
         alpha = cof_alpha(vals, delta)
     except GpclError:
         notes.append("init-fallback")
-        return np.array([1.0, nu, 0.0]), notes
-    alpha = _clip_noted(alpha, _CAUCHY_BOX["alpha"], notes)
-    beta = 1.0
+        return _CAUCHY.start(nu), notes
+    beta_box, _, alpha_box = _CAUCHY.defs
+    alpha = _clip_noted(alpha, alpha_box, notes)
+    beta = _CAUCHY.neutral[0]
     try:
         lags = [int(h) for h in match_lags if 0 < h < vals.size]
         if lags and msd > 0:
@@ -312,5 +326,5 @@ def cauchy_init(y, delta=None, known_mean=None, match_lags=DEFAULT_MATCH_LAGS) -
             notes.append("init-fallback")
     except GpclError:
         notes.append("init-fallback")
-    beta = _clip_noted(beta, _CAUCHY_BOX["beta"], notes)
+    beta = _clip_noted(beta, beta_box, notes)
     return np.array([beta, nu, alpha]), notes

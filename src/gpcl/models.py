@@ -12,20 +12,27 @@ Two stationary Gaussian families are supported:
 Both expose true correlations (``rho(0) == 1``); autocovariances are
 ``nu**2 * rho``.  Correlations are evaluated at exactly the lags asked
 for; the fOU correlation has a special-function closed form with an
-adaptive-quadrature twin kept for cross-checking.  ``PARAM_BOXES`` holds
-each family's parameter names, in order, with the boxes the fits search.
+adaptive-quadrature twin kept for cross-checking.
+
+``FAMILIES`` maps each ``Family`` to its ``FamilySpec``, the one place that
+says what distinguishes the two: the params type, the free parameters in
+order with the boxes and transforms the fits search, theta <-> params
+conversion, the report map to ``(kappa|beta, nu, alpha)``, the neutral
+start, the correlation function and the inputs of ``classify_regime``.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc, hyp1f1
 
+from ._optim import ParamDef
 from .errors import DomainError
 
 __all__ = [
@@ -33,7 +40,10 @@ __all__ = [
     "FouParams",
     "CauchyParams",
     "ModelSpec",
-    "PARAM_BOXES",
+    "FamilySpec",
+    "FAMILIES",
+    "family_spec",
+    "spec_of",
     "Roughness",
     "Memory",
     "CltCase",
@@ -140,24 +150,6 @@ class CauchyParams:
 
 Params = FouParams | CauchyParams
 
-# Each family's free parameters in their fixed order, with the box the
-# likelihood fits search and the optimizer's transform (log for positive
-# parameters, scaled logit for interval ones).  Moment-estimator starting
-# values are clipped into the same boxes.
-PARAM_BOXES = {
-    Family.FOU: {
-        "kappa": (1e-8, 1e3, "log"),
-        "nu": (1e-8, 1e3, "log"),
-        "hurst": (0.001, 0.999, "logit"),
-    },
-    Family.CAUCHY: {
-        "beta": (1e-4, 50.0, "log"),
-        "nu": (1e-8, 1e3, "log"),
-        "alpha": (-0.499, 0.499, "logit"),
-    },
-}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A parametric family plus how its mean is treated during estimation.
@@ -171,14 +163,17 @@ class ModelSpec:
     mean_mode: str = "known"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.params, (FouParams, CauchyParams)):
-            raise DomainError(f"unsupported params type {type(self.params).__name__}")
+        spec_of(self.params)
         if self.mean_mode not in ("known", "estimated"):
             raise DomainError(f"mean_mode must be 'known' or 'estimated', got {self.mean_mode!r}")
 
     @property
+    def spec(self) -> FamilySpec:
+        return spec_of(self.params)
+
+    @property
     def family(self) -> Family:
-        return Family.FOU if isinstance(self.params, FouParams) else Family.CAUCHY
+        return self.spec.family
 
     @property
     def mean_is_estimated(self) -> bool:
@@ -320,10 +315,109 @@ def cauchy_acf(params: CauchyParams, h):
     return out
 
 
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything that distinguishes one parametric family from the other.
+
+    ``defs`` are the free parameters in the params type's field order, each
+    with the box the likelihood fits search and the optimizer's transform
+    (log for positive parameters, scaled logit for interval ones);
+    moment-estimator starting values are clipped into the same boxes.
+    ``alpha_offset`` is the third parameter minus the roughness index
+    (``hurst = alpha + 1/2``), which gives the report map
+    ``theta -> (kappa|beta, nu, alpha)``.  ``neutral`` is the start used
+    where the data carry no moment information, with ``nu`` as a
+    placeholder.  ``correlation(params, times)`` evaluates the correlation at
+    a 1-d array of time lags, and ``regime(params)`` gives the decay
+    exponent and the long-memory flag that ``classify_regime`` labels.
+    """
+
+    family: Family
+    params_type: type
+    defs: tuple[ParamDef, ...]
+    alpha_offset: float
+    neutral: tuple[float, float, float]
+    correlation: Callable[[Params, np.ndarray], np.ndarray]
+    regime: Callable[[Params], tuple[float, bool]]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(d.name for d in self.defs)
+
+    def make(self, theta, mu: float) -> Params:
+        return self.params_type(*theta, mu=mu)
+
+    def theta(self, params: Params) -> np.ndarray:
+        return np.array([getattr(params, name) for name in self.names])
+
+    def start(self, nu: float) -> np.ndarray:
+        """The neutral start vector at scale ``nu``."""
+        return np.array([self.neutral[0], nu, self.neutral[2]])
+
+    def report(self, theta) -> dict:
+        """``theta`` on the shared ``(kappa|beta, nu, alpha)`` reporting scale."""
+        return {
+            self.names[0]: float(theta[0]),
+            "nu": float(theta[1]),
+            "alpha": float(theta[2]) - self.alpha_offset,
+        }
+
+    def from_report(self, x: float, nu: float, alpha: float, mu: float) -> Params:
+        """Params from reporting-scale values, the inverse of ``report``."""
+        return self.params_type(x, nu, alpha + self.alpha_offset, mu=mu)
+
+
+FAMILIES = {
+    Family.FOU: FamilySpec(
+        family=Family.FOU,
+        params_type=FouParams,
+        defs=(
+            ParamDef("kappa", 1e-8, 1e3, "log"),
+            ParamDef("nu", 1e-8, 1e3, "log"),
+            ParamDef("hurst", 0.001, 0.999, "logit"),
+        ),
+        alpha_offset=0.5,
+        neutral=(0.1, 1.0, 0.5),
+        correlation=lambda p, t: _fou_correlation_closed(p.kappa, p.hurst, t),
+        regime=lambda p: (2.0 * (1.0 - p.hurst), p.hurst > 0.5),
+    ),
+    Family.CAUCHY: FamilySpec(
+        family=Family.CAUCHY,
+        params_type=CauchyParams,
+        defs=(
+            ParamDef("beta", 1e-4, 50.0, "log"),
+            ParamDef("nu", 1e-8, 1e3, "log"),
+            ParamDef("alpha", -0.499, 0.499, "logit"),
+        ),
+        alpha_offset=0.0,
+        neutral=(1.0, 1.0, 0.0),
+        correlation=cauchy_acf,
+        regime=lambda p: (p.beta, p.beta <= 1.0),
+    ),
+}
+_SPEC_BY_TYPE = {spec.params_type: spec for spec in FAMILIES.values()}
+
+
+def family_spec(family) -> FamilySpec:
+    """Table entry for a ``Family`` or its name (case-insensitive)."""
+    if not isinstance(family, Family):
+        try:
+            family = Family(str(family).lower())
+        except ValueError:
+            raise DomainError(f"unknown family {family!r}") from None
+    return FAMILIES[family]
+
+
+def spec_of(params: Params) -> FamilySpec:
+    """Table entry for a params instance's family."""
+    spec = _SPEC_BY_TYPE.get(type(params))
+    if spec is None:
+        raise DomainError(f"unsupported params type {type(params).__name__}")
+    return spec
+
+
 def _raw_correlation(params: Params, times: np.ndarray) -> np.ndarray:
-    if isinstance(params, CauchyParams):
-        return np.atleast_1d(cauchy_acf(params, times))
-    return np.atleast_1d(_fou_correlation_closed(params.kappa, params.hurst, times))
+    return spec_of(params).correlation(params, times)
 
 
 def correlation_at_lags(params: Params, delta: float, lags) -> np.ndarray:
@@ -358,27 +452,20 @@ def classify_regime(model: ModelSpec) -> RegimeLabel:
     The decay exponent ``beta_decay`` is the hyperbolic tail index of the
     correlation: ``2(1 - H)`` for the fOU family and ``beta`` for the Cauchy
     class.  The central-limit case is the standard Gaussian one whenever the
-    exponent exceeds 1/2 or the correlation is integrable, the boundary case
-    at exactly 1/2, and the Rosenblatt regime below 1/2.
+    exponent exceeds 1/2 (as it does wherever the correlation is
+    integrable), the boundary case at exactly 1/2, and the Rosenblatt regime
+    below 1/2.
     """
     p = model.params
-    if isinstance(p, FouParams):
-        alpha = p.alpha
-        beta_decay = 2.0 * (1.0 - p.hurst)
-        long_memory = p.hurst > 0.5
-        integrable = p.hurst <= 0.5 or beta_decay > 1.0
-    else:
-        alpha = p.alpha
-        beta_decay = p.beta
-        long_memory = p.beta <= 1.0
-        integrable = p.beta > 1.0
+    beta_decay, long_memory = model.spec.regime(p)
+    alpha = p.alpha
     if alpha < 0:
         rough = Roughness.ROUGH
     elif alpha == 0:
         rough = Roughness.BROWNIAN
     else:
         rough = Roughness.SMOOTH
-    if beta_decay > 0.5 or integrable:
+    if beta_decay > 0.5:
         case = CltCase.CASE1_GAUSSIAN
     elif beta_decay == 0.5:
         case = CltCase.CASE2_BOUNDARY

@@ -568,6 +568,41 @@ def test_config_file_syntax_error(tmp_path, capsys):
     assert "KEY=VALUE" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "mc-study", "compare-mle", "heatmap", "profile"])
+@pytest.mark.parametrize("family", ["FOU", "fuo"])
+def test_config_file_family_outside_choices(tmp_path, capsys, command, family):
+    # A config-file family gets the same choices as --family: no case folding
+    # and no fallback to the other family.
+    cfg = tmp_path / "family.cfg"
+    cfg.write_text(f"family={family}\n")
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(
+        [command, "--config", cfg, "--series", tmp_path / "absent.csv", "--out", out]
+        if command in ("fit", "heatmap", "profile")
+        else [command, "--config", cfg, "--out", out],
+        capsys,
+    )
+    assert code == EXIT_CONFIG
+    assert f"unknown family '{family}'" in err
+    assert not out.exists()
+
+
+def test_config_file_boolean_include_fit(series_dir, tmp_path, capsys):
+    args = ["profile", "--series", series_dir / "fou_b.csv", "--family", "fou",
+            "--axis", "0.005:0.05:3", "--mean-mode", "known:0"]
+    _, flag_out, _ = run_cli(args + ["--no-include-fit"], capsys)
+    cfg = tmp_path / "profile.cfg"
+    cfg.write_text("include_fit=false\n")
+    code, cfg_out, _ = run_cli(args + ["--config", cfg], capsys)
+    assert code == EXIT_OK
+    assert cfg_out == flag_out
+    assert len(csv_rows(cfg_out)) == 3
+    cfg.write_text("include_fit=maybe\n")
+    code, _, err = run_cli(args + ["--config", cfg], capsys)
+    assert code == EXIT_CONFIG
+    assert "include_fit" in err
+
+
 def test_config_file_missing(capsys):
     code, _, _ = run_cli(["simulate", "--config", "/nonexistent.cfg"], capsys)
     assert code == EXIT_CONFIG

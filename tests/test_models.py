@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcl import (
+    FAMILIES,
     CauchyParams,
     CltCase,
     DomainError,
@@ -21,6 +23,7 @@ from gpcl import (
     correlation_at_lags,
     fou_acf,
 )
+from gpcl.models import family_spec, spec_of
 
 
 def test_fou_params_validation():
@@ -51,6 +54,33 @@ def test_model_spec_family_and_mean_mode():
     assert m.mean_is_estimated
     with pytest.raises(DomainError):
         ModelSpec(FouParams(kappa=0.1, nu=1.0, hurst=0.5), mean_mode="fixed")
+
+
+def test_family_table_invariants():
+    boxes = {
+        Family.FOU: {"kappa": (1e-8, 1e3, "log"), "nu": (1e-8, 1e3, "log"), "hurst": (0.001, 0.999, "logit")},
+        Family.CAUCHY: {"beta": (1e-4, 50.0, "log"), "nu": (1e-8, 1e3, "log"), "alpha": (-0.499, 0.499, "logit")},
+    }
+    points = {Family.FOU: (0.02, 0.7, 0.3), Family.CAUCHY: (0.8, 0.7, -0.2)}
+    for family, spec in FAMILIES.items():
+        assert spec.family is family
+        fields = [f.name for f in dataclasses.fields(spec.params_type)]
+        assert list(spec.names) + ["mu"] == fields
+        assert {d.name: (d.lo, d.hi, d.scale) for d in spec.defs} == boxes[family]
+        theta = np.array(points[family])
+        params = spec.make(theta, 1.5)
+        assert isinstance(params, spec.params_type) and params.mu == 1.5
+        assert np.array_equal(spec.theta(params), theta)
+        assert spec_of(params) is spec and ModelSpec(params).spec is spec
+        assert family_spec(family) is spec and family_spec(family.value.upper()) is spec
+        back = spec.from_report(*spec.report(theta).values(), mu=1.5)
+        assert spec.theta(back) == pytest.approx(theta, rel=1e-15) and back.mu == 1.5
+    assert FAMILIES[Family.FOU].report([0.02, 0.7, 0.3]) == {"kappa": 0.02, "nu": 0.7, "alpha": 0.3 - 0.5}
+    assert FAMILIES[Family.CAUCHY].report([0.8, 0.7, -0.2]) == {"beta": 0.8, "nu": 0.7, "alpha": -0.2}
+    with pytest.raises(DomainError):
+        family_spec("frac")
+    with pytest.raises(DomainError):
+        spec_of(object())
 
 
 def test_fou_acf_is_ou_at_half():

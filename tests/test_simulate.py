@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gpcl import CauchyParams, DomainError, EmbeddingError, FouParams, ModelSpec, cauchy_acf
+from gpcl import CauchyParams, DomainError, EmbeddingError, FouParams, cauchy_acf
 from gpcl.errors import DataError
 from gpcl.simulate import (
     SampleSeries,
-    SimPlan,
     _embed_paths,
     _fgn_acv,
     circulant_embed,
@@ -157,15 +156,21 @@ def test_simulate_cauchy_acf_and_shift():
     assert np.mean(means) == pytest.approx(-3.0, abs=0.05)
 
 
-def test_simulate_dispatch_and_plan_validation():
-    plan = SimPlan(ModelSpec(FouParams(kappa=0.1, nu=1.0, hurst=0.4)), n=64, delta=0.5, seed=9)
-    y = simulate(plan)
+def test_simulate_dispatch_and_validation():
+    fou = FouParams(kappa=0.1, nu=1.0, hurst=0.4)
+    y = simulate(fou, 64, 0.5, seed=9)
     assert y.n == 64 and y.delta == 0.5
-    plan = SimPlan(ModelSpec(CauchyParams(beta=1.0, nu=1.0, alpha=0.0)), n=64, delta=0.5, seed=9)
-    y = simulate(plan)
+    assert np.array_equal(y.values, simulate_fou(fou, 64, 0.5, seed=9).values)
+    cauchy = CauchyParams(beta=1.0, nu=1.0, alpha=0.0)
+    y = simulate(cauchy, 64, 0.5, seed=9)
     assert y.n == 64
+    assert np.array_equal(y.values, simulate_cauchy(cauchy, 64, 0.5, seed=9).values)
     with pytest.raises(DomainError):
-        SimPlan(ModelSpec(CauchyParams(beta=1.0, nu=1.0, alpha=0.0)), n=1, delta=0.5, seed=9)
+        simulate(cauchy, 1, 0.5, seed=9)
+    with pytest.raises(DomainError):
+        simulate(cauchy, 64, 0.0, seed=9)
+    with pytest.raises(DomainError):
+        simulate(object(), 64, 0.5, seed=9)
 
 
 def test_sample_series_validation():
