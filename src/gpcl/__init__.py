@@ -40,7 +40,6 @@ from .simulate import (
     SampleSeries,
     circulant_embed,
     read_series_csv,
-    simulate,
     simulate_cauchy,
     simulate_fgn,
     simulate_fou,

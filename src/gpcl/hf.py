@@ -8,15 +8,15 @@ signature table is provided as a sampling-frequency diagnostic.
 
 Every stage is deterministic given its inputs.  Calendar gaps (days or
 blocks without usable data) surface as NaN so downstream consumers skip any
-window that touches them instead of silently spanning the hole.  Gridding is
-independent per day and could be farmed out; at the data volumes handled
-here a single pass is fast enough.
+window that touches them instead of silently spanning the hole.  One
+vectorized kernel, run one day at a time, grids the prices for both the RV
+series and the signature table.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import ConfigError, DataError, IngestError
 from .simulate import SampleSeries
 
 __all__ = [
-    "TickRecord",
     "TickData",
     "GridSeries",
     "RvSeries",
@@ -59,16 +58,6 @@ _HEADER_SYNONYMS = {
 _POSITIONAL = {"price": 1, "quantity": 2, "quote_volume": 3, "timestamp_ms": 4}
 
 
-@dataclass(frozen=True)
-class TickRecord:
-    """One validated trade."""
-
-    timestamp_ms: int
-    price: float
-    quantity: float
-    quote_volume: float
-
-
 @dataclass
 class TickData:
     """Validated trades as parallel arrays, sorted by timestamp."""
@@ -83,15 +72,6 @@ class TickData:
 
     def __len__(self) -> int:
         return len(self.timestamp_ms)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield TickRecord(
-                int(self.timestamp_ms[i]),
-                float(self.price[i]),
-                float(self.quantity[i]),
-                float(self.quote_volume[i]),
-            )
 
     def day_range(self) -> tuple[int, int]:
         """First and last epoch day touched by the data (inclusive)."""
@@ -258,45 +238,62 @@ def ingest_ticks(path) -> TickData:
     )
 
 
-def _preavg_at(times, logp, boundary_ms, window):
-    """Mean log price of the ``window`` trades nearest the boundary.
+def _grid_at(times, logp, boundaries, window):
+    """Mean log price of the ``window`` trades nearest each boundary.
 
-    At most ``window // 2`` of them may lie after the boundary, so the
-    value never looks ahead further than the averaging half-window; with
-    no trades after (or ``window == 1``) it degenerates to previous tick.
+    Each of ``window`` steps takes one more trade for every boundary at
+    once: the nearer of the next trade before and the next one after, the
+    earlier on a tie.  At most ``window // 2`` of them may lie after the
+    boundary, so the value never looks ahead further than the averaging
+    half-window; with no trades after (or ``window == 1``) it degenerates to
+    previous tick.  The search runs over the whole tape, so trades of a
+    neighbouring day count.  Values are summed in the order taken, as
+    ``np.mean`` does for fewer than 8 terms; a boundary with no trade on
+    either side is NaN.
     """
-    idx = int(np.searchsorted(times, boundary_ms, side="right"))
-    before = idx - 1
-    after = idx
-    ahead_cap = window // 2
-    taken: list[int] = []
-    n_after = 0
-    while len(taken) < window:
-        d_before = boundary_ms - times[before] if before >= 0 else None
-        d_after = (
-            times[after] - boundary_ms
-            if after < len(times) and n_after < ahead_cap
-            else None
-        )
-        if d_before is None and d_after is None:
-            break
-        if d_after is None or (d_before is not None and d_before <= d_after):
-            taken.append(before)
-            before -= 1
-        else:
-            taken.append(after)
-            after += 1
-            n_after += 1
-    if not taken:
-        return math.nan
-    return float(np.mean(logp[np.asarray(taken)]))
+    last = len(times) - 1
+    after = np.searchsorted(times, boundaries, side="right")
+    ahead_end = np.minimum(after + window // 2, last + 1)
+    before = after - 1
+    total = np.zeros(len(boundaries))
+    for _ in range(window):
+        has_after = after < ahead_end
+        nearest_after = np.minimum(after, last)
+        d_before = boundaries - times[np.maximum(before, 0)]
+        d_after = times[nearest_after] - boundaries
+        take_before = (before >= 0) & (~has_after | (d_before <= d_after))
+        take_after = has_after & ~take_before
+        pick = np.where(take_before, before, nearest_after)
+        np.add(total, logp[pick], out=total, where=take_before | take_after)
+        before -= take_before
+        after += take_after
+    count = after - before - 1
+    with np.errstate(invalid="ignore"):
+        return np.where(count > 0, total / count, np.nan)
+
+
+def _grid_days(ticks: TickData, days, slot_seconds: int, window: int) -> np.ndarray:
+    """``_grid_at`` on the slot ends of each epoch day, as a days x slots array.
+
+    One day at a time, so the kernel's temporaries stay O(slots).
+    """
+    times = ticks.timestamp_ms
+    logp = np.log(ticks.price)
+    slot_ms = slot_seconds * 1000
+    ends = np.arange(slot_ms, MS_PER_DAY + 1, slot_ms, dtype=np.int64)
+    values = np.empty((len(days), len(ends)))
+    for d, day in enumerate(days):
+        values[d] = _grid_at(times, logp, day * MS_PER_DAY + ends, window)
+    return values
 
 
 def grid_prices(ticks: TickData, slot_seconds: int = 15, preavg_window: int = 5) -> GridSeries:
     """Log prices on the equidistant grid, pre-averaged around boundaries.
 
-    Days without a single trade are dropped (reported in diagnostics);
-    within a day, slots before the first trade of the sample are NaN.
+    Each present day's slots go through the same kernel that builds the
+    signature grid (there with a window of one trade).  Days without a
+    single trade are dropped (reported in diagnostics); a slot with no trade
+    before it and none it may look ahead to is NaN.
     """
     if preavg_window < 1:
         raise ConfigError(f"preavg_window must be >= 1, got {preavg_window}")
@@ -304,32 +301,15 @@ def grid_prices(ticks: TickData, slot_seconds: int = 15, preavg_window: int = 5)
         raise ConfigError(f"slot_seconds must divide 86400, got {slot_seconds}")
     if len(ticks) == 0:
         raise DataError("no ticks to grid")
-    slots = 86_400 // slot_seconds
-    times = ticks.timestamp_ms
-    logp = np.log(ticks.price)
     first_day, last_day = ticks.day_range()
-    tick_days = np.unique(times // MS_PER_DAY)
-    present = []
-    dropped = []
-    for day in range(first_day, last_day + 1):
-        if day in tick_days:
-            present.append(day)
-        else:
-            dropped.append(day)
-    values = np.full((len(present), slots), np.nan)
-    slot_ms = slot_seconds * 1000
-    for d, day in enumerate(present):
-        day_start = day * MS_PER_DAY
-        for s in range(slots):
-            boundary = day_start + (s + 1) * slot_ms
-            values[d, s] = _preavg_at(times, logp, boundary, preavg_window)
-    diags = tuple(f"day-dropped:{day}" for day in dropped)
+    present = np.unique(ticks.timestamp_ms // MS_PER_DAY)
+    dropped = np.setdiff1d(np.arange(first_day, last_day + 1), present)
     return GridSeries(
-        day_index=np.asarray(present, dtype=np.int64),
-        values=values,
+        day_index=present,
+        values=_grid_days(ticks, present, slot_seconds, preavg_window),
         slot_seconds=slot_seconds,
         kind="log_price",
-        diagnostics=diags,
+        diagnostics=tuple(f"day-dropped:{day}" for day in dropped),
     )
 
 
@@ -439,31 +419,19 @@ def _daily_bipower(returns: np.ndarray) -> np.ndarray:
     return (np.pi / 2.0) * mean_prod * returns.shape[1]
 
 
-def truncate_jumps(
-    returns: np.ndarray, window_days: int = 1, c: float = 4.0
-) -> tuple[np.ndarray, int]:
+def truncate_jumps(returns: np.ndarray, c: float = 4.0) -> tuple[np.ndarray, int]:
     """Zero out returns larger than a local-volatility threshold.
 
     The cutoff is ``c x sigma_day x slots^{-0.49}`` with ``sigma_day`` the
-    square root of the bipower variance over ``window_days`` trailing days,
-    so only moves far outside the continuous scale are removed.  Returns the
-    cleaned array and how many entries were zeroed.
+    square root of the day's own bipower variance, so only moves far outside
+    the continuous scale are removed.  Returns the cleaned array and how
+    many entries were zeroed.
     """
     if not c > 0:
         raise ConfigError(f"truncation constant must be positive, got {c}")
-    if window_days < 1:
-        raise ConfigError(f"window_days must be >= 1, got {window_days}")
     returns = np.asarray(returns, dtype=float)
-    n_days, slots = returns.shape
+    _, slots = returns.shape
     bp = _daily_bipower(returns)
-    if window_days > 1:
-        rolled = np.full(n_days, np.nan)
-        for d in range(n_days):
-            lo = max(0, d - window_days + 1)
-            window = bp[lo : d + 1]
-            if np.isfinite(window).any():
-                rolled[d] = np.nanmean(window)
-        bp = rolled
     threshold = c * np.sqrt(bp) * slots**-0.49
     with np.errstate(invalid="ignore"):
         mask = np.abs(returns) > threshold[:, None]
@@ -521,21 +489,6 @@ def block_rv(
     )
 
 
-def _previous_tick_grid(ticks: TickData, slot_seconds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Plain previous-tick log prices for all days in range (vectorized)."""
-    slots = 86_400 // slot_seconds
-    first_day, last_day = ticks.day_range()
-    days = np.arange(first_day, last_day + 1, dtype=np.int64)
-    boundaries = (
-        days[:, None] * MS_PER_DAY
-        + (np.arange(slots)[None, :] + 1) * slot_seconds * 1000
-    ).reshape(-1)
-    idx = np.searchsorted(ticks.timestamp_ms, boundaries, side="right") - 1
-    logp = np.log(ticks.price)
-    vals = np.where(idx >= 0, logp[np.clip(idx, 0, None)], np.nan)
-    return days, vals.reshape(len(days), slots)
-
-
 def volatility_signature(
     ticks: TickData, seconds=(1, 5, 15, 60, 300, 600)
 ) -> SignatureTable:
@@ -559,9 +512,10 @@ def volatility_signature(
         raise DataError(
             f"volatility signature needs >= 30 days, got {n_days_range}"
         )
+    days = np.arange(first_day, last_day + 1)
     means, ses = {}, {}
     for s in sorted(set(seconds)):
-        _, grid = _previous_tick_grid(ticks, s)
+        grid = _grid_days(ticks, days, s, 1)
         flat = grid.reshape(-1)
         r = np.full_like(flat, np.nan)
         r[1:] = np.diff(flat)

@@ -147,6 +147,20 @@ def _mean_and_msd(vals: np.ndarray, known_mean) -> tuple[float, float]:
     return mu, msd
 
 
+def _fou_kappa(vals: np.ndarray, delta: float, hurst: float, msd: float) -> float | None:
+    """``kappa`` from the stationary-variance identity ``msd = a^2 H Gamma(2H) kappa^{-2H}``.
+
+    The amplitude ``a^2`` comes from the second-difference variation; None
+    when it or the sample variance ``msd`` vanishes.
+    """
+    two_h = 2.0 * hurst
+    diffs = _strided_diff_terms(vals, 2, 1)
+    amp_sq = float(np.sum(diffs**2)) / ((diffs.size + 2) * (4.0 - 2.0**two_h) * delta**two_h)
+    if not (msd > 0.0 and amp_sq > 0.0):
+        return None
+    return (msd / (amp_sq * hurst * gamma_fn(two_h))) ** (-1.0 / two_h)
+
+
 def mme_fou(y, delta=None, known_mean=None) -> MmeResult:
     """Moment estimators for the fOU family.
 
@@ -167,14 +181,10 @@ def mme_fou(y, delta=None, known_mean=None) -> MmeResult:
             "clamp only for MCLE initialization, never for reported "
             "moment-estimator output"
         )
-    two_h = 2.0 * hurst
-    diffs = _strided_diff_terms(vals, 2, 1)
-    n_eff = diffs.size + 2
-    amp_sq = float(np.sum(diffs**2)) / (n_eff * (4.0 - 2.0**two_h) * delta**two_h)
     mu, msd = _mean_and_msd(vals, known_mean)
-    if msd <= 0.0 or amp_sq <= 0.0:
+    kappa = _fou_kappa(vals, delta, hurst, msd)
+    if kappa is None:
         raise DegenerateSeriesError("zero variance; fOU moments undefined")
-    kappa = (msd / (amp_sq * hurst * gamma_fn(two_h))) ** (-1.0 / two_h)
     return MmeResult(
         family=Family.FOU,
         alpha_hat=alpha,
@@ -292,12 +302,8 @@ def fou_init(y, delta=None, known_mean=None) -> tuple[np.ndarray, list[str]]:
         return _FOU.start(nu), notes
     kappa_box, _, hurst_box = _FOU.defs
     hurst = _clip_noted(alpha + 0.5, hurst_box, notes)
-    two_h = 2.0 * hurst
-    diffs = _strided_diff_terms(vals, 2, 1)
-    amp_sq = float(np.sum(diffs**2)) / ((diffs.size + 2) * (4.0 - 2.0**two_h) * delta**two_h)
-    if msd > 0 and amp_sq > 0:
-        kappa = (msd / (amp_sq * hurst * gamma_fn(two_h))) ** (-1.0 / two_h)
-    else:
+    kappa = _fou_kappa(vals, delta, hurst, msd)
+    if kappa is None:
         kappa = _FOU.neutral[0]
         notes.append("init-fallback")
     kappa = _clip_noted(kappa, kappa_box, notes)

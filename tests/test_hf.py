@@ -50,8 +50,8 @@ def test_ingest_sorts_out_of_order_rows(tmp_path):
     data = hf.ingest_ticks(f)
     assert list(data.timestamp_ms) == [1000, 2000]
     assert list(data.price) == [101.0, 100.5]
-    rec = next(iter(data))
-    assert rec == hf.TickRecord(1000, 101.0, 1.0, 101.0)
+    assert data.timestamp_ms[0] == 1000 and data.price[0] == 101.0
+    assert data.quantity[0] == 1.0 and data.quote_volume[0] == 101.0
 
 
 def test_ingest_synthetic_day_has_all_seconds(tmp_path):
@@ -128,6 +128,90 @@ def test_grid_drops_tradeless_day():
     r = hf.log_returns(grid)
     # the first slot of day 2 must not difference across the hole
     assert np.isnan(r[1, 0])
+
+
+def reference_preavg(times, logp, boundary_ms, window):
+    """Scalar reference for one slot: the former per-boundary gridding loop."""
+    idx = int(np.searchsorted(times, boundary_ms, side="right"))
+    before = idx - 1
+    after = idx
+    ahead_cap = window // 2
+    taken = []
+    n_after = 0
+    while len(taken) < window:
+        d_before = boundary_ms - times[before] if before >= 0 else None
+        d_after = (
+            times[after] - boundary_ms
+            if after < len(times) and n_after < ahead_cap
+            else None
+        )
+        if d_before is None and d_after is None:
+            break
+        if d_after is None or (d_before is not None and d_before <= d_after):
+            taken.append(before)
+            before -= 1
+        else:
+            taken.append(after)
+            after += 1
+            n_after += 1
+    if not taken:
+        return np.nan
+    return float(np.mean(logp[np.asarray(taken)]))
+
+
+def reference_grid(ticks, days, slot_seconds, window):
+    logp = np.log(ticks.price)
+    slot_ms = slot_seconds * 1000
+    return np.array([
+        [
+            reference_preavg(ticks.timestamp_ms, logp, day * 86_400_000 + s * slot_ms, window)
+            for s in range(1, SEC_PER_DAY // slot_seconds + 1)
+        ]
+        for day in days
+    ])
+
+
+def edge_case_tape():
+    """Days 0, 1 and 3 of trades (day 2 missing) with every gridding edge case.
+
+    Slot ends fall every 600 s.  Day 0 starts with a slot before any trade,
+    has trades at equal distance on both sides of two boundaries (at 2400 s
+    the tie decides which trades a window of two averages), one trade
+    exactly on a boundary, a four-hour halt and trades just before
+    midnight; day 1 opens with trades just after midnight.
+    """
+    rng = np.random.default_rng(19)
+    day = 86_400_000
+    hand = [
+        1_199_000, 1_201_000, 1_198_000, 1_202_000, 1_202_000,  # ties around 1200 s
+        1_800_000,  # exactly on the 1800 s boundary
+        2_398_000, 2_399_000, 2_402_000,  # a tie that decides which trades count
+        36_000_000 - 7, 50_400_000 + 3,  # either side of a 10:00-14:00 halt
+        day - 40, day - 1, day + 1, day + 3, day + 250,  # around midnight
+        day + 600_000 - 500, day + 600_000 + 500,  # a tie on day 1
+    ]
+    spread = np.concatenate([
+        rng.integers(3_000_000, 36_000_000, 150),
+        rng.integers(50_400_000, day, 150),
+        rng.integers(day, 2 * day, 300),
+        rng.integers(3 * day, 4 * day, 300),
+    ])
+    times = np.sort(np.concatenate([hand, spread])).astype(np.int64)
+    prices = 100.0 * np.exp(np.cumsum(rng.standard_normal(times.size) * 1e-3))
+    return make_ticks(times, prices)
+
+
+def test_grid_matches_scalar_reference():
+    ticks = edge_case_tape()
+    for window in (1, 2, 3, 5, 7):
+        grid = hf.grid_prices(ticks, slot_seconds=600, preavg_window=window)
+        assert list(grid.day_index) == [0, 1, 3]
+        expected = reference_grid(ticks, grid.day_index, 600, window)
+        assert np.isnan(expected).sum() == (1 if window == 1 else 0)
+        np.testing.assert_array_equal(grid.values, expected)
+    # the signature grid: window 1 over every day in range, the missing one too
+    got = hf._grid_days(ticks, np.arange(4), 600, 1)
+    np.testing.assert_array_equal(got, reference_grid(ticks, range(4), 600, 1))
 
 
 def test_grid_slot_seconds_must_divide_day():

@@ -190,3 +190,9 @@ def test_series_csv_roundtrip(tmp_path):
     back = read_series_csv(path)
     assert back.delta == pytest.approx(y.delta, rel=1e-9)
     assert np.max(np.abs(back.values - y.values)) < 1e-10
+
+
+def test_submodule_import_binds_the_module():
+    import gpcl.simulate as s
+
+    assert callable(s.simulate_fou) and callable(s.simulate)
