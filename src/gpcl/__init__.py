@@ -63,6 +63,6 @@ from .likelihood import (
     gls_mean,
     tuple_covariance,
 )
-from .mle import MleResult, fit_mle, full_loglik
+from .mle import fit_mle, full_loglik
 
 __version__ = "0.1.0"

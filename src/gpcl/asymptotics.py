@@ -180,6 +180,11 @@ def _tail_factor(regime: RegimeLabel) -> float:
 
 
 def _variability(model: ModelSpec, q_set: TupleSet, delta: float, lag_cap: int):
+    """V at ``lag_cap`` and its extrapolated tail fraction.
+
+    In the standard Gaussian regime a tail above 1% of ``||V||`` raises
+    ``TruncationError``; outside it the tail is only reported.
+    """
     if lag_cap < 100:
         raise DomainError(f"lag truncation must be at least 100, got {lag_cap}")
     regime = classify_regime(model)
@@ -197,7 +202,12 @@ def _variability(model: ModelSpec, q_set: TupleSet, delta: float, lag_cap: int):
     scale = float(np.linalg.norm(v_full))
     last_decade = float(np.linalg.norm(v_full - v_prev))
     tail_fraction = last_decade * _tail_factor(regime) / scale if scale > 0 else 0.0
-    return v_full, tail_fraction, regime
+    if regime.clt_case is CltCase.CASE1_GAUSSIAN and tail_fraction > _TAIL_TOL:
+        raise TruncationError(
+            f"lag truncation {lag_cap} leaves an estimated tail of "
+            f"{100 * tail_fraction:.2f}% of ||V||; increase the truncation"
+        )
+    return v_full, tail_fraction
 
 
 def variability_V(
@@ -221,12 +231,7 @@ def variability_V(
             f"convergence rate is {_RATE_LABELS[regime.clt_case]}, not sqrt(n); "
             "pass nominal=True to force a plug-in value"
         )
-    v_mat, tail_fraction, _ = _variability(model, q_set, delta, lag_cap)
-    if regime.clt_case is CltCase.CASE1_GAUSSIAN and tail_fraction > _TAIL_TOL:
-        raise TruncationError(
-            f"lag truncation {lag_cap} leaves an estimated tail of "
-            f"{100 * tail_fraction:.2f}% of ||V||; increase the truncation"
-        )
+    v_mat, _ = _variability(model, q_set, delta, lag_cap)
     return v_mat
 
 
@@ -279,12 +284,7 @@ def sandwich(
             )
         diagnostics += (f"nominal ({regime.clt_case.value} regime): rate {label}",)
 
-    v_mat, tail_fraction, _ = _variability(model, q_set, delta, lag_cap)
-    if regime.clt_case is CltCase.CASE1_GAUSSIAN and tail_fraction > _TAIL_TOL:
-        raise TruncationError(
-            f"lag truncation {lag_cap} leaves an estimated tail of "
-            f"{100 * tail_fraction:.2f}% of ||V||; increase the truncation"
-        )
+    v_mat, tail_fraction = _variability(model, q_set, delta, lag_cap)
     diagnostics += (f"tail-fraction:{tail_fraction:.2e}",)
 
     h_inv, flags = _invert_h(h_mat)
@@ -313,7 +313,16 @@ def attach_std_errors(
     lag_cap: int = DEFAULT_LAG_TRUNCATION,
     nominal: bool = False,
 ) -> SandwichReport:
-    """Compute the sandwich at a fit's point and store its std_errors."""
+    """Compute the sandwich at a fit's point and store its std_errors.
+
+    Only a composite fit has one: an exact-likelihood fit (``tuple_set`` is
+    None) raises ``DomainError``.
+    """
+    if result.tuple_set is None:
+        raise DomainError(
+            "the sandwich needs the tuple set of a composite-likelihood fit; "
+            "an exact-likelihood fit has none"
+        )
     model = ModelSpec(result.params, result.mean_mode)
     report = sandwich(
         model, result.tuple_set, result.delta, result.n, lag_cap=lag_cap, nominal=nominal

@@ -338,12 +338,7 @@ def _sandwich_dict(report) -> dict:
         else [float(v) for v in report.std_errors],
         "lag_truncation": int(report.lag_truncation),
         "n": int(report.n),
-        "regime": {
-            "roughness": report.regime.roughness.name,
-            "memory": report.regime.memory.name,
-            "clt_case": report.regime.clt_case.name,
-            "beta_decay": float(report.regime.beta_decay),
-        },
+        "regime": report.regime.to_dict(),
         "diagnostics": list(report.diagnostics),
     }
 

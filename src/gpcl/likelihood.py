@@ -341,12 +341,12 @@ def cl_score(model: ModelSpec, y: SampleSeries, q_set: TupleSet) -> np.ndarray:
 
 @dataclass
 class EstimationResult:
-    """Composite-likelihood fit output.
+    """Fit output of the composite (``fit_mcle``) or exact (``fit_mle``) likelihood.
 
     ``mu_hat`` is the GLS estimate in estimated-mean mode and the string
     marker ``"known"`` otherwise; ``mu_value`` always carries the numeric
-    mean in effect.  ``std_errors`` stays None until the sandwich module
-    fills it in.
+    mean in effect.  ``tuple_set`` is None for an exact fit.
+    ``std_errors`` stays None until the sandwich module fills it in.
     """
 
     family: Family
@@ -361,7 +361,7 @@ class EstimationResult:
     init: np.ndarray
     n: int
     delta: float
-    tuple_set: TupleSet
+    tuple_set: TupleSet | None
     mean_mode: str
     std_errors: np.ndarray | None = None
     diagnostics: tuple[str, ...] = ()
@@ -381,22 +381,26 @@ class EstimationResult:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "mean_mode": self.mean_mode,
-            "regime": {
-                "roughness": self.regime.roughness.name,
-                "memory": self.regime.memory.name,
-                "clt_case": self.regime.clt_case.name,
-                "beta_decay": float(self.regime.beta_decay),
-            },
+            "regime": self.regime.to_dict(),
             "init": [float(v) for v in self.init],
             "n": int(self.n),
             "delta": float(self.delta),
-            "tuples": [list(t) for t in self.tuple_set.tuples],
+            "tuples": None
+            if self.tuple_set is None
+            else [list(t) for t in self.tuple_set.tuples],
             "std_errors": None
             if self.std_errors is None
             else [float(v) for v in self.std_errors],
             "diagnostics": list(self.diagnostics),
         }
         return out
+
+
+def _series_length(y) -> int:
+    """Length of ``y``, which must be a ``SampleSeries``."""
+    if not isinstance(y, SampleSeries):
+        raise DataError("y must be a SampleSeries (wrap raw values first)")
+    return y.values.size
 
 
 def _default_tuples_for(n: int) -> TupleSet:
@@ -429,6 +433,80 @@ def _start_vector(
     return init_used
 
 
+def _fit(
+    y: SampleSeries,
+    family,
+    core,
+    tuple_set: TupleSet | None,
+    init,
+    mean_mode: str,
+    known_mean: float,
+    max_iters: int,
+) -> EstimationResult:
+    """Maximize ``core``'s log-likelihood over the family's free parameters.
+
+    ``core`` is a ``_ClCore`` or an ``mle._ExactCore``: ``evaluate(params,
+    mu)`` returns the log-likelihood and the mean it used, the GLS mean when
+    ``mu`` is None, and ``masked_rows`` counts windows dropped at gaps.  A
+    constant series skips the optimizer and is reported as degenerate.
+    ``converged`` means the polish step contracted below 1e-8 at a finite
+    log-likelihood.
+    """
+    spec = family_spec(family)
+    mode = _normalize_mean_mode(mean_mode)
+    mu_fixed = float(known_mean) if mode == "known" else None
+    mu_make = 0.0 if mu_fixed is None else mu_fixed
+    diagnostics: list[str] = []
+
+    finite_vals = y.values[np.isfinite(y.values)]
+    ybar = float(finite_vals.mean())
+    scale = float(finite_vals.std())
+    if not scale > 1e-14 * (1.0 + abs(ybar)):
+        theta_hat = spec.start(1e-8)
+        init_used = theta_hat.copy()
+        mu_value = ybar if mu_fixed is None else mu_fixed
+        loglik, iterations, converged = math.nan, 0, False
+        diagnostics.append("degenerate-data")
+    else:
+        init_used = _start_vector(y, spec, init, mode, known_mean, diagnostics)
+        if core.masked_rows:
+            diagnostics.append(f"masked-rows:{core.masked_rows}")
+
+        def objective(theta: np.ndarray) -> float:
+            try:
+                val, _ = core.evaluate(spec.make(theta, mu_make), mu_fixed)
+            except GpclError:
+                return -math.inf
+            return val
+
+        opt = maximize(objective, spec.defs, init_used, max_iters=max_iters)
+        theta_hat = opt.x
+        loglik, mu_value = core.evaluate(spec.make(theta_hat, mu_make), mu_fixed)
+        iterations = opt.nfev
+        converged = bool(opt.step_converged and math.isfinite(loglik))
+        if not opt.step_converged:
+            diagnostics.append("step-criterion-unmet")
+
+    return EstimationResult(
+        family=spec.family,
+        param_names=spec.names,
+        theta_hat=theta_hat,
+        mu_hat="known" if mode == "known" else mu_value,
+        mu_value=mu_value,
+        loglik=loglik,
+        iterations=iterations,
+        converged=converged,
+        regime=classify_regime(ModelSpec(spec.make(theta_hat, mu_value))),
+        init=init_used,
+        n=y.values.size,
+        delta=y.delta,
+        tuple_set=tuple_set,
+        mean_mode=mode,
+        std_errors=None,
+        diagnostics=tuple(diagnostics),
+    )
+
+
 def fit_mcle(
     y: SampleSeries,
     family,
@@ -446,87 +524,17 @@ def fit_mcle(
     both the final polish step to contract below 1e-8 and the natural-scale
     score to satisfy the first-order criterion.
     """
-    if not isinstance(y, SampleSeries):
-        raise DataError("y must be a SampleSeries (wrap raw values first)")
-    spec = family_spec(family)
-    mode = _normalize_mean_mode(mean_mode)
-    q_set = _default_tuples_for(y.values.size) if q_set is None else q_set
-    n = y.values.size
+    n = _series_length(y)
+    q_set = _default_tuples_for(n) if q_set is None else q_set
     if n <= q_set.max_index + 1:
         raise SampleSizeError(
             f"need n > max tuple index + 1 = {q_set.max_index + 1}, got n={n}"
         )
-    diagnostics: list[str] = []
-
-    finite_vals = y.values[np.isfinite(y.values)]
-    ybar = float(finite_vals.mean())
-    scale = float(finite_vals.std())
-    if not scale > 1e-14 * (1.0 + abs(ybar)):
-        theta0 = spec.start(1e-8)
-        mu_val = known_mean if mode == "known" else ybar
-        params0 = spec.make(theta0, mu_val)
-        return EstimationResult(
-            family=spec.family,
-            param_names=spec.names,
-            theta_hat=theta0,
-            mu_hat="known" if mode == "known" else mu_val,
-            mu_value=mu_val,
-            loglik=math.nan,
-            iterations=0,
-            converged=False,
-            regime=classify_regime(ModelSpec(params0)),
-            init=theta0.copy(),
-            n=n,
-            delta=y.delta,
-            tuple_set=q_set,
-            mean_mode=mode,
-            std_errors=None,
-            diagnostics=("degenerate-data",),
-        )
-
-    init_used = _start_vector(y, spec, init, mode, known_mean, diagnostics)
     core = _ClCore(y, q_set)
-    if core.masked_rows:
-        diagnostics.append(f"masked-rows:{core.masked_rows}")
-    mu_fixed = float(known_mean) if mode == "known" else None
-
-    def objective(theta: np.ndarray) -> float:
-        try:
-            params = spec.make(theta, mu_fixed if mu_fixed is not None else 0.0)
-            val, _ = core.evaluate(params, mu_fixed)
-        except GpclError:
-            return -math.inf
-        return val
-
-    opt = maximize(objective, spec.defs, init_used, max_iters=max_iters)
-    theta_hat = opt.x
-    params_tmp = spec.make(theta_hat, mu_fixed if mu_fixed is not None else 0.0)
-    loglik, mu_value = core.evaluate(params_tmp, mu_fixed)
-    params_hat = spec.make(theta_hat, mu_value)
-
-    score = _score_from_core(core, spec.family, params_hat, mode)
-    grad_ok = bool(np.max(np.abs(score)) <= _GRAD_TOL * (1.0 + abs(loglik)))
-    converged = bool(opt.step_converged and grad_ok and math.isfinite(loglik))
-    if not opt.step_converged:
-        diagnostics.append("step-criterion-unmet")
-    if not grad_ok:
-        diagnostics.append("gradient-criterion-unmet")
-
-    return EstimationResult(
-        family=spec.family,
-        param_names=spec.names,
-        theta_hat=theta_hat,
-        mu_hat="known" if mode == "known" else mu_value,
-        mu_value=mu_value,
-        loglik=loglik,
-        iterations=opt.nfev,
-        converged=converged,
-        regime=classify_regime(ModelSpec(params_hat)),
-        init=init_used,
-        n=n,
-        delta=y.delta,
-        tuple_set=q_set,
-        mean_mode=mode,
-        std_errors=None,
-        diagnostics=tuple(diagnostics),
-    )
+    result = _fit(y, family, core, q_set, init, mean_mode, known_mean, max_iters)
+    if result.iterations:  # zero only when degenerate data skipped the optimizer
+        score = _score_from_core(core, result.family, result.params, result.mean_mode)
+        if not np.max(np.abs(score)) <= _GRAD_TOL * (1.0 + abs(result.loglik)):
+            result.converged = False
+            result.diagnostics += ("gradient-criterion-unmet",)
+    return result

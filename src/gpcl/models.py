@@ -204,6 +204,14 @@ class RegimeLabel:
     clt_case: CltCase
     beta_decay: float
 
+    def to_dict(self) -> dict:
+        return {
+            "roughness": self.roughness.name,
+            "memory": self.memory.name,
+            "clt_case": self.clt_case.name,
+            "beta_decay": float(self.beta_decay),
+        }
+
 
 def _fou_shifted_integrand(y: float, x: float, two_h: float) -> float:
     # Variance-reduced form of the defining integral: subtracting

@@ -19,7 +19,9 @@ from gpcl import (
     simulate_cauchy,
     simulate_fou,
 )
-from gpcl.errors import CovarianceError
+from gpcl import likelihood
+from gpcl.asymptotics import attach_std_errors
+from gpcl.errors import CovarianceError, DomainError
 
 DELTA = 1.0 / 12.0
 
@@ -117,13 +119,53 @@ def test_fit_mle_result_fields():
     y = simulate_cauchy(params, 300, DELTA, seed=814)
     res = fit_mle(y, "cauchy", mean_mode="estimated")
     assert res.n == 300
-    assert res.runtime_seconds > 0
     assert math.isfinite(res.loglik)
     assert isinstance(res.mu_hat, float)
     assert res.param_names == ("beta", "nu", "alpha")
     known = fit_mle(y, "cauchy", mean_mode="known", known_mean=0.0)
     assert known.mu_hat == "known"
     assert known.mu_value == 0.0
+
+
+def test_fit_mle_constant_series_is_degenerate():
+    y = SampleSeries(np.full(200, 1.5), delta=DELTA)
+    res = fit_mle(y, "cauchy", mean_mode="estimated")
+    assert not res.converged
+    assert res.diagnostics == ("degenerate-data",)
+    assert res.iterations == 0
+
+
+def test_fit_mle_refuses_gaps_before_optimizing(monkeypatch):
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("the optimizer ran on a gapped series")
+
+    monkeypatch.setattr(likelihood, "maximize", no_optimizer)
+    params = CauchyParams(beta=1.0, nu=0.5, alpha=0.0, mu=0.0)
+    vals = simulate_cauchy(params, 300, DELTA, seed=817).values.copy()
+    vals[150] = np.nan
+    y = SampleSeries(vals, delta=DELTA, origin="EMPIRICAL")
+    with pytest.raises(DataError, match="gap"):
+        fit_mle(y, "cauchy", mean_mode="estimated")
+
+
+def test_attach_std_errors_refuses_exact_fit():
+    params = CauchyParams(beta=1.0, nu=0.5, alpha=0.0, mu=0.0)
+    y = simulate_cauchy(params, 200, DELTA, seed=818)
+    res = fit_mle(y, "cauchy", mean_mode="known", known_mean=0.0)
+    assert res.tuple_set is None
+    with pytest.raises(DomainError, match="exact-likelihood fit"):
+        attach_std_errors(res)
+    assert res.std_errors is None
+
+
+def test_exact_and_composite_results_have_the_same_fields():
+    params = CauchyParams(beta=1.0, nu=0.5, alpha=0.0, mu=0.0)
+    y = simulate_cauchy(params, 200, DELTA, seed=819)
+    exact = fit_mle(y, "cauchy", mean_mode="estimated").to_dict()
+    composite = fit_mcle(y, "cauchy", mean_mode="estimated").to_dict()
+    assert exact.keys() == composite.keys()
+    assert exact["tuples"] is None
+    assert composite["tuples"]
 
 
 def test_fit_mle_scale_equivariance():
