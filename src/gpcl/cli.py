@@ -1,4 +1,7 @@
-"""Batch command-line surface: simulate, fit, studies, and pipeline driving.
+"""Batch command-line surface: option parsing and output formatting.
+
+The commands call into the library; the replication loops of ``mc-study``
+and ``compare-mle`` are ``gpcl.study``'s.
 
 Subcommands
 -----------
@@ -33,13 +36,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,36 +70,25 @@ from .likelihood import (
     build_default_tuples,
     fit_mcle,
 )
-from .mle import FULL_LIKELIHOOD_CAP, fit_mle
-from .mme import mme_estimate
-from .models import FAMILIES, CauchyParams, Family, FamilySpec, FouParams, ModelSpec
+from .mle import FULL_LIKELIHOOD_CAP
+from .models import FAMILIES, Family, FamilySpec, ModelSpec
 from .simulate import read_series_csv, simulate, write_series_csv
+from .study import (
+    StudyConfig,
+    _fmt,
+    _log,
+    check_design,
+    panel_params,
+    parse_mean_mode,
+    run_mc_study,
+    run_replications,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 EXIT_BUDGET = 5
-
-# Monte Carlo panels: five (persistence, scale, roughness) corners per
-# family, ordered from rough/persistent to smooth/fast-reverting.
-PANELS = {
-    "fou": {
-        "A": FouParams(kappa=0.005, nu=1.25, hurst=0.05),
-        "B": FouParams(kappa=0.010, nu=0.75, hurst=0.10),
-        "C": FouParams(kappa=0.015, nu=0.50, hurst=0.30),
-        "D": FouParams(kappa=0.035, nu=0.30, hurst=0.50),
-        "E": FouParams(kappa=0.070, nu=0.20, hurst=0.70),
-    },
-    "cauchy": {
-        "A": CauchyParams(beta=0.25, nu=1.25, alpha=-0.45),
-        "B": CauchyParams(beta=0.50, nu=0.75, alpha=-0.40),
-        "C": CauchyParams(beta=0.75, nu=0.50, alpha=-0.20),
-        "D": CauchyParams(beta=1.00, nu=0.30, alpha=0.00),
-        "E": CauchyParams(beta=1.25, nu=0.20, alpha=0.20),
-    },
-}
-PANEL_ORDER = "ABCDE"
 
 # Per-family CLI defaults: the log-spaced (kappa|beta) axis of heatmap and
 # profile, and simulate's explicit parameters on the reporting scale.
@@ -114,16 +104,6 @@ PSEUDO_PARAMETER_NOTE = (
 )
 
 
-def _fmt(x) -> str:
-    """Canonical float rendering: 12 significant digits."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    xf = float(x)
-    if not math.isfinite(xf):
-        return ""
-    return f"{xf:.12g}"
-
-
 def _round12(obj):
     """Recursively round floats to 12 significant digits for JSON output."""
     if isinstance(obj, float):
@@ -137,10 +117,6 @@ def _round12(obj):
 
 def _json_text(payload: dict) -> str:
     return json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
-
-
-def _log(msg: str) -> None:
-    print(f"gpcl: {msg}", file=sys.stderr)
 
 
 @contextmanager
@@ -229,21 +205,6 @@ def _parse_int_list(text) -> tuple:
     return items
 
 
-def _parse_mean_mode(text) -> tuple:
-    """'known', 'known:<value>', or 'estimated' -> (mode, known_mean)."""
-    text = str(text).strip().lower()
-    if text == "estimated":
-        return "estimated", 0.0
-    if text == "known":
-        return "known", 0.0
-    if text.startswith("known:"):
-        try:
-            return "known", float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad mean-mode value {text!r}") from exc
-    raise ConfigError(f"mean-mode must be 'known[:<value>]' or 'estimated', got {text!r}")
-
-
 def _parse_axis(text, log_spaced: bool) -> np.ndarray:
     """'lo:hi:num' -> grid, log-spaced for positive scale axes."""
     parts = str(text).split(":")
@@ -264,16 +225,6 @@ def _parse_axis(text, log_spaced: bool) -> np.ndarray:
             raise ConfigError(f"log-spaced axis needs positive bounds, got {lo}")
         return np.exp(np.linspace(math.log(lo), math.log(hi), num))
     return np.linspace(lo, hi, num)
-
-
-def _panel_params(family: str, panel: str, mu: float = 0.0):
-    try:
-        base = PANELS[family][panel.upper()]
-    except KeyError:
-        raise ConfigError(
-            f"unknown panel {panel!r} for family {family!r} (expected A-E)"
-        ) from None
-    return dataclasses.replace(base, mu=mu)
 
 
 def _tuple_set(opts: Opts):
@@ -307,7 +258,7 @@ def cmd_simulate(opts: Opts) -> int:
 
     panel = opts.get("panel")
     if panel is not None:
-        params = _panel_params(family, panel, mu=mu)
+        params = panel_params(family, panel, mu=mu)
     else:
         defaults = CLI_DEFAULTS[family]["simulate"]
         params = spec.from_report(*(opts.get(k, d, cast=float) for k, d in defaults.items()), mu=mu)
@@ -348,7 +299,7 @@ def cmd_fit(opts: Opts) -> int:
     if series_path is None:
         raise ConfigError("fit requires --series (input CSV path)")
     spec = _family_spec(opts)
-    mode, known_mean = _parse_mean_mode(opts.get("mean_mode", "estimated"))
+    mode, known_mean = parse_mean_mode(opts.get("mean_mode", "estimated"))
     lag_trunc = opts.get("lag_trunc", DEFAULT_LAG_TRUNCATION, cast=int)
     delta = opts.get("delta", cast=float)
 
@@ -399,208 +350,6 @@ def cmd_fit(opts: Opts) -> int:
 # mc-study
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    """Design of a replication study: panels x horizons at one family."""
-
-    family: str = "fou"
-    panels: tuple = ("A", "B", "C", "D", "E")
-    big_t: tuple = (1095, 1825, 2555)
-    n_per_day: int = 12
-    replications: int = 200
-    q: int = 3
-    strides: tuple = DEFAULT_STRIDES
-    mean_mode: str = "known:0"
-    seed: int = 20240915
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.family not in PANELS:
-            raise ConfigError(f"unknown family {self.family!r}")
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        bad = [p for p in self.panels if p.upper() not in PANELS[self.family]]
-        if bad:
-            raise ConfigError(f"unknown panels {bad} (expected A-E)")
-        if any(t < 1 for t in self.big_t):
-            raise ConfigError(f"horizons must be >= 1, got {self.big_t}")
-        if self.n_per_day < 1:
-            raise ConfigError(f"n_per_day must be >= 1, got {self.n_per_day}")
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    param: str
-    true_value: float
-    mcle_bias: float
-    mcle_std: float
-    mme_bias: float
-    mme_std: float
-    rmse_mcle: float
-    rmse_mme: float
-
-    @property
-    def rmse_ratio(self) -> float:
-        return self.rmse_mcle / self.rmse_mme
-
-
-@dataclass(frozen=True)
-class StudyCell:
-    panel: str
-    big_t: int
-    reps_used: int
-    failures: int
-    rows: tuple
-
-
-@dataclass(frozen=True)
-class StudyReport:
-    """Per-(panel, horizon) bias/std/RMSE summary for both estimators."""
-
-    config: StudyConfig
-    cells: tuple
-    warnings: tuple = ()
-
-    def __post_init__(self):
-        for cell in self.cells:
-            for row in cell.rows:
-                if not row.rmse_ratio > 0:
-                    raise StudyError(
-                        f"non-positive RMSE ratio for {cell.panel}/T={cell.big_t} "
-                        f"{row.param}: {row.rmse_ratio}"
-                    )
-
-    def to_csv_text(self) -> str:
-        cfg = self.config
-        lines = [
-            "# gpcl mc-study",
-            f"# family={cfg.family} mean_mode={cfg.mean_mode} "
-            f"n_per_day={cfg.n_per_day} replications={cfg.replications} "
-            f"seed={cfg.seed} q={cfg.q} strides={','.join(map(str, cfg.strides))}",
-            "# rmse_ratio = RMSE(composite likelihood) / RMSE(method of moments)",
-        ]
-        for w in self.warnings:
-            lines.append(f"# warning: {w}")
-        for cell in self.cells:
-            lines.append(
-                f"# panel={cell.panel} T={cell.big_t} "
-                f"reps_used={cell.reps_used} failures={cell.failures}"
-            )
-        lines.append(
-            "panel,T,param,true,mcle_bias,mcle_std,mme_bias,mme_std,"
-            "rmse_mcle,rmse_mme,rmse_ratio"
-        )
-        for cell in self.cells:
-            for r in cell.rows:
-                lines.append(
-                    ",".join(
-                        [cell.panel, str(cell.big_t), r.param]
-                        + [
-                            _fmt(v)
-                            for v in (
-                                r.true_value,
-                                r.mcle_bias,
-                                r.mcle_std,
-                                r.mme_bias,
-                                r.mme_std,
-                                r.rmse_mcle,
-                                r.rmse_mme,
-                                r.rmse_ratio,
-                            )
-                        ]
-                    )
-                )
-        return "\n".join(lines) + "\n"
-
-
-def run_mc_study(config: StudyConfig) -> StudyReport:
-    """Replicate simulate -> (MCLE, MME) over the configured design."""
-    spec = FAMILIES[Family(config.family)]
-    mode, known_mean = _parse_mean_mode(config.mean_mode)
-    estimated_mean = mode == "estimated"
-    q_set = build_default_tuples(config.q, config.strides)
-    delta = 1.0 / config.n_per_day
-    warnings = []
-    if config.replications == 1:
-        warnings.append(
-            "replications=1: replication stds are degenerate and reported as 0"
-        )
-    cells = []
-    for panel in config.panels:
-        panel = panel.upper()
-        params = _panel_params(config.family, panel)
-        truth = spec.report(spec.theta(params))
-        if estimated_mean:
-            truth["mu"] = params.mu
-        for big_t in config.big_t:
-            n = big_t * config.n_per_day
-            mcle_draws = {k: [] for k in truth}
-            mme_draws = {k: [] for k in truth}
-            failures = 0
-            for rep in range(config.replications):
-                seed = [config.seed, PANEL_ORDER.index(panel), big_t, rep]
-                y = simulate(params, n, delta, seed=seed)
-                try:
-                    fit = fit_mcle(
-                        y,
-                        spec.family,
-                        q_set=q_set,
-                        mean_mode=mode,
-                        known_mean=known_mean,
-                    )
-                    if not fit.converged:
-                        raise StudyError("composite-likelihood fit did not converge")
-                    mme = mme_estimate(
-                        y, spec.family, known_mean=None if estimated_mean else known_mean
-                    )
-                except GpclError as exc:
-                    failures += 1
-                    _log(
-                        f"mc-study rep failed (panel={panel}, T={big_t}, "
-                        f"rep={rep}): {exc}"
-                    )
-                    continue
-                mcle_est, mme_est = spec.report(fit.theta_hat), mme.report()
-                if estimated_mean:
-                    mcle_est["mu"] = float(fit.mu_hat)
-                    mme_est["mu"] = mme.mu_hat
-                for k in truth:
-                    mcle_draws[k].append(mcle_est[k])
-                    mme_draws[k].append(mme_est[k])
-            if failures > 0.05 * config.replications:
-                raise StudyError(
-                    f"panel {panel} T={big_t}: {failures}/{config.replications} "
-                    "replications failed (more than 5%)"
-                )
-            used = config.replications - failures
-            rows = []
-            for k, true_value in truth.items():
-                a = np.asarray(mcle_draws[k], dtype=float)
-                b = np.asarray(mme_draws[k], dtype=float)
-                rows.append(
-                    StudyRow(
-                        param=k,
-                        true_value=true_value,
-                        mcle_bias=float(np.mean(a) - true_value),
-                        mcle_std=float(np.std(a, ddof=1)) if used > 1 else 0.0,
-                        mme_bias=float(np.mean(b) - true_value),
-                        mme_std=float(np.std(b, ddof=1)) if used > 1 else 0.0,
-                        rmse_mcle=float(np.sqrt(np.mean((a - true_value) ** 2))),
-                        rmse_mme=float(np.sqrt(np.mean((b - true_value) ** 2))),
-                    )
-                )
-            cells.append(
-                StudyCell(
-                    panel=panel,
-                    big_t=big_t,
-                    reps_used=used,
-                    failures=failures,
-                    rows=tuple(rows),
-                )
-            )
-    return StudyReport(config=config, cells=tuple(cells), warnings=tuple(warnings))
-
-
 def cmd_mc_study(opts: Opts) -> int:
     config = StudyConfig(
         family=_family_spec(opts).family.value,
@@ -637,11 +386,10 @@ def cmd_compare_mle(opts: Opts) -> int:
     n_per_day = opts.get("n_per_day", 12, cast=int)
     reps = opts.get("reps", 3, cast=int)
     seed = opts.get("seed", 20240915, cast=int)
-    mode, known_mean = _parse_mean_mode(opts.get("mean_mode", "known:0"))
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
+    mode, known_mean = parse_mean_mode(opts.get("mean_mode", "known:0"))
+    check_design(big_t_grid, n_per_day, reps)
 
-    params = _panel_params(family, panel)
+    params = panel_params(family, panel)
     truth = spec.theta(params)[2]
     delta = 1.0 / n_per_day
     q_set = _tuple_set(opts)
@@ -663,40 +411,21 @@ def cmd_compare_mle(opts: Opts) -> int:
         n = big_t * n_per_day
         if n > FULL_LIKELIHOOD_CAP:
             continue
-        ml_err, cl_err, ml_time, cl_time = [], [], 0.0, 0.0
-        for rep in range(reps):
-            y = simulate(params, n, delta, seed=[seed, big_t, rep])
+        # Both likelihoods fit the same draws; each time includes the draws.
+        times, rmses = [], []
+        for likelihood in ("exact", "composite"):
             t0 = time.perf_counter()
-            ml = fit_mle(y, spec.family, mean_mode=mode, known_mean=known_mean)
-            t1 = time.perf_counter()
-            cl = fit_mcle(
-                y, spec.family, q_set=q_set, mean_mode=mode, known_mean=known_mean
+            res = run_replications(
+                params, n, delta, lambda rep: [seed, big_t, rep], reps,
+                likelihood=likelihood, q_set=q_set, mean_mode=mode, known_mean=known_mean,
             )
-            t2 = time.perf_counter()
-            ml_time += t1 - t0
-            cl_time += t2 - t1
-            ml_err.append(ml.theta_hat[2] - truth)
-            cl_err.append(cl.theta_hat[2] - truth)
-        ml_rmse = float(np.sqrt(np.mean(np.square(ml_err))))
-        cl_rmse = float(np.sqrt(np.mean(np.square(cl_err))))
-        ml_time /= reps
-        cl_time /= reps
-        lines.append(
-            ",".join(
-                [str(big_t), str(n)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        ml_time,
-                        cl_time,
-                        cl_time / ml_time,
-                        ml_rmse,
-                        cl_rmse,
-                        cl_rmse / ml_rmse,
-                    )
-                ]
-            )
-        )
+            times.append((time.perf_counter() - t0) / reps)
+            if res.failures:
+                raise res.failures[0][1]
+            rmses.append(float(np.sqrt(np.mean(np.square(res.theta[:, 2] - truth)))))
+        (ml_time, cl_time), (ml_rmse, cl_rmse) = times, rmses
+        values = (ml_time, cl_time, cl_time / ml_time, ml_rmse, cl_rmse, cl_rmse / ml_rmse)
+        lines.append(",".join([str(big_t), str(n)] + [_fmt(v) for v in values]))
         _log(f"compare-mle: T={big_t} n={n} done (ml {ml_time:.3g}s, cl {cl_time:.3g}s)")
     with _open_out(opts.get("out")) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -747,7 +476,7 @@ def cmd_heatmap(opts: Opts) -> int:
         raise DataError("composite likelihood failed on every grid cell")
     best = np.unravel_index(np.nanargmax(grid), grid.shape)
 
-    mode, known_mean = _parse_mean_mode(opts.get("mean_mode", "estimated"))
+    mode, known_mean = parse_mean_mode(opts.get("mean_mode", "estimated"))
     fit_cell = None
     fit_note = ""
     try:
@@ -805,7 +534,7 @@ def cmd_profile(opts: Opts) -> int:
     spec = _family_spec(opts)
     family = spec.family.value
     y = read_series_csv(series_path, delta=opts.get("delta", cast=float))
-    mode, known_mean = _parse_mean_mode(opts.get("mean_mode", "estimated"))
+    mode, known_mean = parse_mean_mode(opts.get("mean_mode", "estimated"))
     q_set = _tuple_set(opts) or build_default_tuples()
     x_name = spec.names[0]
     xs = list(_parse_axis(opts.get("axis", CLI_DEFAULTS[family]["axis"]), log_spaced=True))

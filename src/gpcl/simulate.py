@@ -209,7 +209,13 @@ def write_series_csv(series: SampleSeries, path) -> None:
 
 def read_series_csv(path, delta: float | None = None, origin: str = "EMPIRICAL") -> SampleSeries:
     """Read a series written by :func:`write_series_csv` (or any CSV whose
-    last column is the value; a ``time`` column, when present, supplies delta)."""
+    last column is the value).
+
+    Without an explicit ``delta``, a ``time`` column supplies it; failing
+    that, a ``day,block`` layout (as ``gpcl rv`` and ``gpcl volume`` write)
+    gives 1 / (blocks per day), and otherwise it is 1.  In an empirical
+    series a blank value is a gap and is read as NaN.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -221,13 +227,17 @@ def read_series_csv(path, delta: float | None = None, origin: str = "EMPIRICAL")
         raise DataError(f"{path}: no data rows")
     time_col = header.index("time") if has_header and "time" in header else None
     value_col = header.index("value") if has_header and "value" in header else len(body[0]) - 1
+    gap = "nan" if origin == "EMPIRICAL" else ""
     try:
-        values = np.array([float(r[value_col]) for r in body])
+        values = np.array([float(r[value_col].strip() or gap) for r in body])
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed series row ({exc})") from exc
     if delta is None:
         if time_col is not None and len(body) >= 2:
             delta = float(body[1][time_col]) - float(body[0][time_col])
+        elif has_header and {"day", "block"} <= set(header):
+            block_col = header.index("block")
+            delta = 1.0 / len({r[block_col].strip() for r in body})
         else:
             delta = 1.0
     if delta <= 0:

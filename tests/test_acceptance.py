@@ -13,26 +13,21 @@ All randomness is seeded; the heavy tests (replication studies, the
 from __future__ import annotations
 
 import gc
-import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import curve_fit
 from scipy.special import gamma as _gamma_fn
 
-import gpcl
 from gpcl import hf
-from gpcl.asymptotics import attach_std_errors
-from gpcl.cli import PANELS, StudyConfig, run_mc_study
 from gpcl.likelihood import TupleSet, build_default_tuples, cl_eval, fit_mcle
 from gpcl.mle import full_loglik
 from gpcl.models import CauchyParams, FouParams, ModelSpec, cauchy_acf, fou_acf
 from gpcl.mme import cof_alpha, power_variation
 from gpcl.simulate import SampleSeries, simulate_cauchy, simulate_fou
+from gpcl.study import PANELS, StudyConfig, run_mc_study, run_replications
+
+from one_thread import call_in_one_thread_child
 
 DELTA_DAILY12 = 1.0 / 12  # twelve observations per day, in day units
 
@@ -149,15 +144,13 @@ def test_a04_fou_replication_study_matches_reference_bias_and_dispersion():
     failures = []
     details = []
     for big_t in (1095, 1825):
-        theta = []
-        for rep in range(reps):
-            y = simulate_fou(params, big_t * 12, DELTA_DAILY12, seed=[71004, big_t, rep])
-            r = fit_mcle(y, "fou", mean_mode="known", known_mean=0.0)
-            if not r.converged:
-                failures.append(f"T={big_t} rep={rep} did not converge")
-                continue
-            theta.append(r.theta_hat)
-        theta = np.asarray(theta)
+        res = run_replications(
+            params, big_t * 12, DELTA_DAILY12, lambda rep: [71004, big_t, rep], reps
+        )
+        assert not res.failures
+        for rep in np.flatnonzero(~res.converged):
+            failures.append(f"T={big_t} rep={rep} did not converge")
+        theta = res.theta[res.converged]
         k_hat, nu_hat, h_hat = theta[:, 0], theta[:, 1], theta[:, 2]
         nt_hat = np.asarray(
             [_nu_tilde(k, v, h) for k, v, h in zip(k_hat, nu_hat, h_hat)]
@@ -246,13 +239,12 @@ def test_a06_estimated_mean_inflates_memory_estimate_and_fades_with_horizon():
     used = {}
     failures = []
     for ti, (big_t, reps) in enumerate(((1095, 200), (2555, 120))):
-        draws = []
-        for rep in range(reps):
-            y = simulate_cauchy(params, big_t * 12, DELTA_DAILY12, seed=[71006, ti, rep])
-            r = fit_mcle(y, "cauchy", mean_mode="estimated")
-            if not r.converged:
-                continue
-            draws.append(r.theta_hat[0] - params.beta)
+        res = run_replications(
+            params, big_t * 12, DELTA_DAILY12, lambda rep: [71006, ti, rep], reps,
+            mean_mode="estimated",
+        )
+        assert not res.failures
+        draws = res.theta[res.converged, 0] - params.beta
         biases[big_t] = float(np.mean(draws))
         used[big_t] = len(draws)
         if len(draws) < 0.9 * reps:
@@ -316,18 +308,7 @@ def _a07_timings() -> tuple[list[float], list[float]]:
 def test_a07_exact_cost_superquadratic_composite_near_linear():
     # The timings run in a child process with one BLAS thread: a threaded
     # Cholesky speeds up with n and flattens the measured exponent.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    src_dir = str(Path(gpcl.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
-    code = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]); "
-        "from test_acceptance import _a07_timings; print(json.dumps(_a07_timings()))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
-        env=env, capture_output=True, text=True, check=True, timeout=600,
-    )
-    t_ml, t_cl = json.loads(proc.stdout.splitlines()[-1])
+    t_ml, t_cl = call_in_one_thread_child("test_acceptance", "_a07_timings")
     n_arr = np.asarray(_A07_GRID, dtype=float)
 
     def power_law(n, c, e):
@@ -361,17 +342,13 @@ def test_a07_exact_cost_superquadratic_composite_near_linear():
 # ---------------------------------------------------------------------------
 def test_a08_sandwich_standard_errors_match_replication_dispersion():
     params = PANELS["fou"]["D"]
-    alpha_draws, plug_in = [], []
-    for rep in range(200):
-        y = simulate_fou(params, 1825 * 12, DELTA_DAILY12, seed=[909, rep])
-        r = fit_mcle(y, "fou", mean_mode="known", known_mean=0.0)
-        if not r.converged:
-            continue
-        attach_std_errors(r)
-        if r.std_errors is None:
-            continue
-        alpha_draws.append(r.theta_hat[2] - 0.5)
-        plug_in.append(r.std_errors[2])
+    res = run_replications(
+        params, 1825 * 12, DELTA_DAILY12, lambda rep: [909, rep], 200, std_errors=True
+    )
+    assert not res.failures
+    usable = ~np.isnan(res.std_errors[:, 2])  # converged, sandwich not refused
+    alpha_draws = res.theta[usable, 2] - 0.5
+    plug_in = res.std_errors[usable, 2]
     emp = float(np.std(alpha_draws, ddof=1))
     mean_plug = float(np.mean(plug_in))
     ratio = emp / mean_plug

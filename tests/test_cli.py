@@ -72,20 +72,27 @@ def series_dir(tmp_path_factory):
     return d
 
 
+def write_ticks(path, days, rng, random_sizes=False):
+    """Brownian log prices traded every 30 seconds on each of ``days``, in
+    unit sizes or, with ``random_sizes``, exponential ones."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["price", "qty", "quote_qty", "time"])
+        for day in days:
+            logp = np.log(50.0) + np.cumsum(rng.standard_normal(2880) * 0.001)
+            sizes = rng.exponential(1.0, 2880) if random_sizes else np.ones(2880)
+            for i, (price, size) in enumerate(zip(np.exp(logp), sizes)):
+                t = day * 86_400_000 + i * 30_000 + 29_999
+                writer.writerow([f"{price:.7f}", size, f"{price * size:.7f}", t])
+
+
 @pytest.fixture(scope="module")
 def tick_dir(tmp_path_factory):
-    """31 days of Brownian ticks every 30 seconds, split over two files."""
+    """31 days of ticks in unit sizes, split over two files."""
     d = tmp_path_factory.mktemp("ticks")
     rng = np.random.default_rng(7)
     for part, days in (("a", range(0, 16)), ("b", range(16, 31))):
-        with open(d / f"{part}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["price", "qty", "quote_qty", "time"])
-            for day in days:
-                logp = np.log(50.0) + np.cumsum(rng.standard_normal(2880) * 0.001)
-                for i, price in enumerate(np.exp(logp)):
-                    t = day * 86_400_000 + i * 30_000 + 29_999
-                    writer.writerow([f"{price:.7f}", 1.0, f"{price:.7f}", t])
+        write_ticks(d / f"{part}.csv", days, rng)
     return d
 
 
@@ -308,6 +315,10 @@ def test_compare_mle_single_point_and_cap_truncation(capsys):
     assert len(csv_rows(out)) == 1  # T=400 exceeds the cap and is dropped
     assert any("full-likelihood cap" in c for c in comments(out))
 
+    for flag in ("--n-per-day", "--big-t"):  # a zero rate or horizon is refused
+        code, _, err = run_cli(["compare-mle", flag, "0", "--reps", "1"], capsys)
+        assert code == EXIT_CONFIG and "must be >= 1" in err
+
 
 def test_compare_mle_runtime_ratio_falls_rmse_ratio_steady(capsys):
     code, out, _ = run_cli(
@@ -504,6 +515,22 @@ def test_volume_block_grid_emits_one_series_per_frequency(
     report = json.loads((tmp_path / "vol.csv.report.json").read_text())
     assert [s["blocks_per_day"] for s in report["series"]] == [12, 24]
     assert all(s["kind"] == "log_volume" for s in report["series"])
+
+
+def test_rv_and_volume_output_with_a_missing_day_can_be_fitted(tmp_path, capsys):
+    # Day 20 has no trades, so both series carry its 12 blocks as blanks.
+    ticks = tmp_path / "ticks.csv"
+    write_ticks(ticks, [d for d in range(40) if d != 20], np.random.default_rng(11), True)
+    for command, *extra in (("rv", "--slot-seconds", "60"), ("volume",)):
+        series = tmp_path / f"{command}.csv"
+        code, _, _ = run_cli([command, "--data", ticks, "--out", series, *extra], capsys)
+        assert code == EXIT_OK
+        assert sum(line.endswith(",") for line in series.read_text().splitlines()) == 12
+        code, out, _ = run_cli(["fit", "--series", series, "--family", "cauchy"], capsys)
+        assert code == EXIT_OK
+        fit = json.loads(out)["fit"]
+        assert fit["delta"] == pytest.approx(1 / 12, rel=1e-12)
+        assert any(d.startswith("masked-rows:") for d in fit["diagnostics"])
 
 
 def test_volume_block_grid_requires_out(tick_dir, capsys):

@@ -22,6 +22,7 @@ from gpcl import (
 from gpcl import likelihood
 from gpcl.asymptotics import attach_std_errors
 from gpcl.errors import CovarianceError, DomainError
+from gpcl.study import run_replications
 
 DELTA = 1.0 / 12.0
 
@@ -102,16 +103,13 @@ def test_fit_mle_and_mcle_recover_roughness_small_sample():
     # Short rough series: both optimizers land near H=0.10; the full
     # likelihood is tighter at this n than the composite one.
     params = FouParams(kappa=0.01, nu=0.75, hurst=0.1)
-    mle_hits = mcle_hits = 0
-    for rep in range(6):
-        y = simulate_fou(params, 1200, DELTA, seed=[808, rep])
-        r_mle = fit_mle(y, "fou", mean_mode="known", known_mean=0.0)
-        r_mcle = fit_mcle(y, "fou", mean_mode="known", known_mean=0.0)
-        assert r_mle.converged and r_mcle.converged
-        mle_hits += abs(r_mle.theta_hat[2] - 0.1) <= 0.02
-        mcle_hits += abs(r_mcle.theta_hat[2] - 0.1) <= 0.04
-    assert mle_hits >= 5
-    assert mcle_hits >= 5
+    # Both fits see the same draws.
+    mle = run_replications(params, 1200, DELTA, lambda rep: [808, rep], 6, likelihood="exact")
+    mcle = run_replications(params, 1200, DELTA, lambda rep: [808, rep], 6)
+    for res in (mle, mcle):
+        assert not res.failures and res.converged.all()
+    assert np.sum(np.abs(mle.theta[:, 2] - 0.1) <= 0.02) >= 5
+    assert np.sum(np.abs(mcle.theta[:, 2] - 0.1) <= 0.04) >= 5
 
 
 def test_fit_mle_result_fields():
